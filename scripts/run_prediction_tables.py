@@ -24,7 +24,6 @@ def main():
                     help="train fractions (default: 0.1 .. 0.9)")
     ap.add_argument("--reps", type=int, default=50)
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--threads", type=int, default=1)
     args = ap.parse_args()
 
     for kind in ("predict-rank", "param-count"):
@@ -35,7 +34,7 @@ def main():
         if args.fractions:
             spec = replace(spec, train_fractions=tuple(args.fractions))
         out = Path(args.out) / kind
-        manifest = run_experiment(spec, out, threads=args.threads)
+        manifest = run_experiment(spec, out)
         print(f"{manifest['rows']} rows in {manifest['wallTimeSeconds']}s "
               f"-> {out}/{kind}.csv")
 

@@ -22,7 +22,6 @@ def main():
                     help="sample sizes (default: 10 100 1000 10000)")
     ap.add_argument("--reps", type=int, default=50)
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--threads", type=int, default=1)
     args = ap.parse_args()
 
     spec = default_spec("shd-curve")
@@ -31,7 +30,7 @@ def main():
         spec = replace(spec, networks=tuple(args.networks))
     if args.sizes:
         spec = replace(spec, sample_sizes=tuple(args.sizes))
-    manifest = run_experiment(spec, args.out, threads=args.threads)
+    manifest = run_experiment(spec, args.out)
     print(f"{manifest['rows']} rows in {manifest['wallTimeSeconds']}s "
           f"-> {args.out}/shd-curve.csv")
 

@@ -11,7 +11,6 @@ import csv
 import json
 import platform
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -155,14 +154,6 @@ def _label(path: str) -> str:
     return Path(path).stem
 
 
-def _map_reps(worker, reps: int, threads: int) -> list:
-    # Merged in repetition order either way, so results are deterministic.
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(worker, range(reps)))
-    return [worker(rep) for rep in range(reps)]
-
-
 def run_regret_table(spec: ExperimentSpec | None = None) -> list[list[str]]:
     """Regret of a single multinomial on the reference (N, r) grid.
 
@@ -178,7 +169,7 @@ def run_regret_table(spec: ExperimentSpec | None = None) -> list[list[str]]:
     return rows
 
 
-def run_shd_curve(spec: ExperimentSpec, threads: int = 1) -> list[list[str]]:
+def run_shd_curve(spec: ExperimentSpec) -> list[list[str]]:
     """Mean CPDAG distance to the generating network versus sample size.
 
     One dataset is drawn per (sample size, repetition) and shared by all
@@ -191,14 +182,15 @@ def run_shd_curve(spec: ExperimentSpec, threads: int = 1) -> list[list[str]]:
         net = load_network(net_path)
         truth = to_cpdag(net.structure)
         for n in spec.sample_sizes:
-            def one_rep(rep: int, n=n):
+            def one_rep(rep: int):
                 data = sample(net, n, seed=spec.seed + rep)
                 out = []
                 for crit in spec.criteria:
                     res = learn_exact(data, ScoreConfig(criterion=crit))
                     out.append(cpdag_shd(to_cpdag(res.network), truth))
                 return out
-            per_rep = np.array(_map_reps(one_rep, spec.repetitions, threads),
+            per_rep = np.array([one_rep(rep)
+                                for rep in range(spec.repetitions)],
                                dtype=float)
             for j, crit in enumerate(spec.criteria):
                 col = per_rep[:, j]
@@ -226,7 +218,7 @@ def _min_ranks(values: list[float]) -> list[int]:
     return ranks
 
 
-def _predict_tables(spec: ExperimentSpec, threads: int, with_loglik: bool):
+def _predict_tables(spec: ExperimentSpec, with_loglik: bool):
     """Shared driver for the prediction-rank and model-size experiments.
 
     Per repetition the rows are permuted once; each train fraction takes
@@ -264,7 +256,7 @@ def _predict_tables(spec: ExperimentSpec, threads: int, with_loglik: bool):
                 cells.append((logliks, ranks, params))
             return cells
 
-        per_rep = _map_reps(one_rep, spec.repetitions, threads)
+        per_rep = [one_rep(rep) for rep in range(spec.repetitions)]
         for fi, fraction in enumerate(spec.train_fractions):
             for ci, crit in enumerate(spec.criteria):
                 logliks = [per_rep[rep][fi][0][ci] if with_loglik else 0.0
@@ -279,35 +271,34 @@ def _predict_tables(spec: ExperimentSpec, threads: int, with_loglik: bool):
     return out
 
 
-def run_predict_rank(spec: ExperimentSpec, threads: int = 1) -> list[list[str]]:
+def run_predict_rank(spec: ExperimentSpec) -> list[list[str]]:
     """Mean held-out log-likelihood and mean rank per train fraction.
 
     Parameters pair with the criterion that chose the model: Bayesian
     posterior-predictive parameters for the Bayesian score, sequential
     NML parameters for everything else.
     """
-    cells = _predict_tables(spec, threads, with_loglik=True)
+    cells = _predict_tables(spec, with_loglik=True)
     rows = [["dataset", "criterion", "fraction", "meanLogLik", "rank"]]
     for ds, crit, fraction, loglik, rank, _ in cells:
         rows.append([ds, crit, _fmt(fraction), _fmt(loglik), _fmt(rank)])
     return rows
 
 
-def run_param_count(spec: ExperimentSpec, threads: int = 1) -> list[list[str]]:
+def run_param_count(spec: ExperimentSpec) -> list[list[str]]:
     """Mean parameter count of the learned model per train fraction.
 
     Counts use the full parent-configuration product, matching the
     dimension the BIC penalty charges for.
     """
-    cells = _predict_tables(spec, threads, with_loglik=False)
+    cells = _predict_tables(spec, with_loglik=False)
     rows = [["dataset", "criterion", "fraction", "meanParamCount"]]
     for ds, crit, fraction, _, _, params in cells:
         rows.append([ds, crit, _fmt(fraction), _fmt(params)])
     return rows
 
 
-def run_experiment(spec: ExperimentSpec, out_dir: str,
-                   threads: int = 1) -> dict:
+def run_experiment(spec: ExperimentSpec, out_dir: str) -> dict:
     """Run one experiment and write ``<kind>.csv`` plus ``manifest.json``.
 
     Returns the manifest dictionary. The manifest wall time is the only
@@ -317,11 +308,11 @@ def run_experiment(spec: ExperimentSpec, out_dir: str,
     if spec.kind == "regret-table":
         rows = run_regret_table(spec)
     elif spec.kind == "shd-curve":
-        rows = run_shd_curve(spec, threads=threads)
+        rows = run_shd_curve(spec)
     elif spec.kind == "predict-rank":
-        rows = run_predict_rank(spec, threads=threads)
+        rows = run_predict_rank(spec)
     else:
-        rows = run_param_count(spec, threads=threads)
+        rows = run_param_count(spec)
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -96,8 +96,7 @@ def _cmd_score(args) -> int:
 def _cmd_learn(args) -> int:
     data = load_dataset(args.data)
     cfg = _score_config(args)
-    result = learn_exact(data, cfg, max_parents=args.max_parents,
-                         threads=args.threads)
+    result = learn_exact(data, cfg, max_parents=args.max_parents)
     g = result.network
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["variable", "parents", "score"])
@@ -140,7 +139,7 @@ def _cmd_shd(args) -> int:
 def _cmd_predict(args) -> int:
     train, test = load_datasets_shared([args.train, args.test])
     cfg = _score_config(args)
-    result = learn_exact(train, cfg, threads=args.threads)
+    result = learn_exact(train, cfg)
     params = args.params or ("bpp" if args.criterion == "bdeu" else "snml")
     fit = {"ml": fit_ml, "snml": fit_snml, "bpp": fit_bpp}[params]
     net = fit(train, result.network)
@@ -158,17 +157,17 @@ def _cmd_bench(args) -> int:
                         f"the kinds {', '.join(KINDS)}")
     if args.out:
         start = time.perf_counter()
-        manifest = run_experiment(spec, args.out, threads=args.threads)
+        manifest = run_experiment(spec, args.out)
         print(f"{spec.kind}: {manifest['rows']} rows in "
               f"{time.perf_counter() - start:.1f}s -> {args.out}",
               file=sys.stderr)
     else:
         from .bench import run_param_count, run_predict_rank, run_shd_curve
         runner = {
-            "regret-table": lambda s: run_regret_table(s),
-            "shd-curve": lambda s: run_shd_curve(s, threads=args.threads),
-            "predict-rank": lambda s: run_predict_rank(s, threads=args.threads),
-            "param-count": lambda s: run_param_count(s, threads=args.threads),
+            "regret-table": run_regret_table,
+            "shd-curve": run_shd_curve,
+            "predict-rank": run_predict_rank,
+            "param-count": run_param_count,
         }[spec.kind]
         csv.writer(sys.stdout, lineterminator="\n").writerows(runner(spec))
     return 0
@@ -217,8 +216,6 @@ def build_parser() -> _Parser:
     p.add_argument("--out", help="write the learned network JSON here")
     p.add_argument("--fit", choices=["ml"],
                    help="also fit CPTs into --out (maximum likelihood)")
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker threads for local-score computation")
     p.set_defaults(func=_cmd_learn, parser=p)
 
     p = sub.add_parser("sample",
@@ -244,7 +241,6 @@ def build_parser() -> _Parser:
                    help="prior weight for bdeu or bdq")
     p.add_argument("--params", choices=["snml", "bpp", "ml"],
                    help="parameter rule (default: bpp for bdeu, else snml)")
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=_cmd_predict, parser=p)
 
     p = sub.add_parser("bench",
@@ -253,8 +249,6 @@ def build_parser() -> _Parser:
                    help="spec JSON path, or one of: " + ", ".join(KINDS))
     p.add_argument("--out", help="output directory for CSV and manifest "
                                  "(default: CSV to standard output)")
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker threads across repetitions")
     p.set_defaults(func=_cmd_bench, parser=p)
 
     return parser
@@ -263,8 +257,6 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "threads", 1) < 1:
-        args.parser.error("--threads must be at least 1")
     if getattr(args, "max_parents", None) is not None and args.max_parents < 0:
         args.parser.error("--max-parents must be nonnegative")
     try:

@@ -66,49 +66,7 @@ def load_dataset(path, declared_arities=None) -> Dataset:
     column beyond its observed values (the unseen categories are the top
     indices) but may never narrow it.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            names = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        raw = list(reader)
-    n = len(names)
-    if n < 1 or names == [""]:
-        raise DataError(f"{path}: empty header")
-    if len(set(names)) != n:
-        raise DataError(f"{path}: duplicate variable names in header")
-    if declared_arities is not None:
-        if len(declared_arities) != n:
-            raise DataError("declared arities must match the header length")
-        if any(int(a) < 1 for a in declared_arities):
-            raise DataError("declared arities must be at least 1")
-    for k, row in enumerate(raw):
-        if len(row) != n:
-            raise DataError(
-                f"{path}: row {k + 2} has {len(row)} fields, expected {n}")
-        if any(v == "" for v in row):
-            raise DataError(f"{path}: empty cell on row {k + 2}")
-    codes = np.zeros((len(raw), n), dtype=np.int64)
-    arities = []
-    for j in range(n):
-        column = [row[j] for row in raw]
-        levels = sorted(set(column))
-        if raw and not levels:
-            raise DataError(f"{path}: column {names[j]} has no observed values")
-        lookup = {v: k for k, v in enumerate(levels)}
-        if raw:
-            codes[:, j] = [lookup[v] for v in column]
-        arity = len(levels)
-        if declared_arities is not None:
-            declared = int(declared_arities[j])
-            if declared < arity:
-                raise DataError(
-                    f"{path}: declared arity {declared} for column {names[j]} "
-                    f"is smaller than the {arity} observed values")
-            arity = declared
-        arities.append(max(arity, 1))
-    return Dataset(tuple(names), tuple(arities), codes)
+    return load_datasets_shared([path], declared_arities)[0]
 
 
 def write_dataset(data: Dataset, path) -> None:
@@ -150,11 +108,21 @@ def load_datasets_shared(paths, declared_arities=None) -> list[Dataset]:
             except StopIteration:
                 raise DataError(f"{path}: empty file") from None
             raws.append(list(reader))
+    for path, names in zip(paths, headers):
+        if not names or names == [""]:
+            raise DataError(f"{path}: empty header")
+        if len(set(names)) != len(names):
+            raise DataError(f"{path}: duplicate variable names in header")
     if any(h != headers[0] for h in headers):
         raise DataError("datasets must share an identical header")
     names = headers[0]
     n = len(names)
-    pooled = [set() for _ in range(n)]
+    if declared_arities is not None:
+        if len(declared_arities) != n:
+            raise DataError("declared arities must match the header length")
+        if any(int(a) < 1 for a in declared_arities):
+            raise DataError("declared arities must be at least 1")
+    columns = []
     for path, raw in zip(paths, raws):
         for k, row in enumerate(raw):
             if len(row) != n:
@@ -162,26 +130,31 @@ def load_datasets_shared(paths, declared_arities=None) -> list[Dataset]:
                     f"{path}: row {k + 2} has {len(row)} fields, expected {n}")
             if any(v == "" for v in row):
                 raise DataError(f"{path}: empty cell on row {k + 2}")
-            for j, v in enumerate(row):
-                pooled[j].add(v)
-    lookups = [{v: k for k, v in enumerate(sorted(vals))} for vals in pooled]
+        columns.append([[row[j] for row in raw] for j in range(n)])
+    # one set per column and file, pooled by union: cheaper than adding
+    # every cell to the pooled sets one at a time
+    pooled = [set().union(*(set(cols[j]) for cols in columns))
+              for j in range(n)]
+    where = ", ".join(str(p) for p in paths)
+    lookups = []
     arities = []
     for j in range(n):
+        lookups.append({v: k for k, v in enumerate(sorted(pooled[j]))})
         arity = max(len(pooled[j]), 1)
         if declared_arities is not None:
             declared = int(declared_arities[j])
             if declared < arity:
                 raise DataError(
-                    f"declared arity {declared} for column {names[j]} is "
-                    f"smaller than the {arity} observed values")
+                    f"{where}: declared arity {declared} for column "
+                    f"{names[j]} is smaller than the {arity} observed values")
             arity = declared
         arities.append(arity)
     out = []
-    for raw in raws:
-        codes = np.zeros((len(raw), n), dtype=np.int64)
+    for cols in columns:
+        codes = np.zeros((len(cols[0]), n), dtype=np.int64)
         for j in range(n):
-            if raw:
-                codes[:, j] = [lookups[j][row[j]] for row in raw]
+            if cols[j]:
+                codes[:, j] = [lookups[j][v] for v in cols[j]]
         out.append(Dataset(tuple(names), tuple(arities), codes))
     return out
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -23,7 +22,8 @@ import numpy as np
 
 from .dataset import Dataset
 from .errors import DataError, ResourceLimitError
-from .scores import ScoreConfig, Scorer
+from .regret import shared_cache
+from .scores import ScoreConfig, local_score
 from .structure import (DagStructure, dag_from_masks, enumerate_dags,
                         mask_to_parents, parents_to_mask)
 
@@ -62,13 +62,10 @@ def _table_entry_count(n: int, max_parents: int | None) -> int:
 
 
 def compute_local_scores(data: Dataset, cfg: ScoreConfig,
-                         max_parents: int | None = None,
-                         threads: int = 1) -> LocalScoreTable:
+                         max_parents: int | None = None) -> LocalScoreTable:
     """Score every admissible (child, parent set) pair.
 
-    One contingency pass per pair. With threads > 1 the children are scored
-    concurrently; results are merged in child order, so the table is
-    identical either way.
+    One contingency pass per pair; each pair is scored exactly once.
     """
     n = data.n_vars
     if max_parents is not None and max_parents < 0:
@@ -84,7 +81,7 @@ def compute_local_scores(data: Dataset, cfg: ScoreConfig,
         raise ResourceLimitError(
             "local-score table would exceed the memory guard of "
             f"{MAX_PEAK_ENTRIES} entries")
-    scorer = Scorer(data, cfg)
+    cache = shared_cache(cfg.regret_method)
     cap = n - 1 if max_parents is None else min(max_parents, n - 1)
 
     def score_child(child: int) -> dict:
@@ -92,15 +89,12 @@ def compute_local_scores(data: Dataset, cfg: ScoreConfig,
         out = {}
         for size in range(cap + 1):
             for parents in combinations(others, size):
-                out[parents_to_mask(parents)] = scorer.local(child, parents)
+                out[parents_to_mask(parents)] = local_score(
+                    data, child, parents, cfg, cache)
         return out
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            per_child = list(pool.map(score_child, range(n)))
-    else:
-        per_child = [score_child(child) for child in range(n)]
-    return LocalScoreTable(n, tuple(per_child), max_parents)
+    return LocalScoreTable(n, tuple(score_child(child) for child in range(n)),
+                           max_parents)
 
 
 def _compress_mask(mask: int, child: int) -> int:
@@ -153,8 +147,7 @@ def _best_parents_per_child(table: LocalScoreTable):
 
 
 def learn_exact(data: Dataset, cfg: ScoreConfig,
-                max_parents: int | None = None,
-                threads: int = 1) -> LearnResult:
+                max_parents: int | None = None) -> LearnResult:
     """Provably optimal network for the criterion, via the subset DP."""
     start = time.perf_counter()
     n = data.n_vars
@@ -162,7 +155,7 @@ def learn_exact(data: Dataset, cfg: ScoreConfig,
         raise ResourceLimitError(
             f"subset DP over {n} variables exceeds the memory guard; "
             f"the search supports at most {MAX_FULL_VARS} variables")
-    table = compute_local_scores(data, cfg, max_parents, threads)
+    table = compute_local_scores(data, cfg, max_parents)
     best_score, best_set = _best_parents_per_child(table)
     size = 1 << n
     best = np.full(size, -np.inf)

@@ -159,25 +159,3 @@ def total_score(data: Dataset, g: DagStructure, cfg: ScoreConfig,
     """Network score: sum of local scores over all variables."""
     return float(sum(per_variable_scores(data, g, cfg, cache)))
 
-
-class Scorer:
-    """Memoizing local-score evaluator bound to one dataset and one config."""
-
-    def __init__(self, data: Dataset, cfg: ScoreConfig):
-        self.data = data
-        self.cfg = cfg
-        self.cache = shared_cache(cfg.regret_method)
-        self._memo: dict[tuple[int, tuple[int, ...]], float] = {}
-
-    def local(self, child: int, parents) -> float:
-        key = (int(child), tuple(int(p) for p in parents))
-        value = self._memo.get(key)
-        if value is None:
-            value = local_score(self.data, key[0], key[1], self.cfg, self.cache)
-            self._memo[key] = value
-        return value
-
-    def total(self, g: DagStructure) -> float:
-        if self.data.n_vars != g.n:
-            raise DataError("dataset and graph variable counts differ")
-        return float(sum(self.local(i, g.parents[i]) for i in range(g.n)))

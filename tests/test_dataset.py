@@ -30,18 +30,31 @@ def test_load_is_row_order_independent(tmp_path):
     assert sorted(a.rows[:, 0].tolist()) == sorted(b.rows[:, 0].tolist())
 
 
+def load_one_shared(path, declared_arities=None):
+    return load_datasets_shared([path], declared_arities)[0]
+
+
+# load_dataset delegates to the shared loader; both entry points must
+# validate alike
+LOADERS = (load_dataset, load_one_shared)
+
+
 def test_declared_arities_widen_but_never_narrow(tmp_path):
     path = write(tmp_path, "A,B\n0,0\n1,1\n2,0\n")
-    wide = load_dataset(path, declared_arities=(4, 2))
-    assert wide.arities == (4, 2)
-    with pytest.raises(DataError):
-        load_dataset(path, declared_arities=(2, 2))
+    for load in LOADERS:
+        wide = load(path, declared_arities=(4, 2))
+        assert wide.arities == (4, 2)
+        # too narrow, too short, too long, below 1
+        for declared in ((2, 2), (4,), (4, 2, 2), (4, 0)):
+            with pytest.raises(DataError):
+                load(path, declared_arities=declared)
 
 
 def test_load_rejects_malformed_files(tmp_path):
-    for text in ("", "A,A\n0,0\n", "A,B\n0\n", "A,B\n0,\n"):
-        with pytest.raises(DataError):
-            load_dataset(write(tmp_path, text))
+    for load in LOADERS:
+        for text in ("", "\n", "A,A\n0,0\n", "A,B\n0\n", "A,B\n0,\n"):
+            with pytest.raises(DataError):
+                load(write(tmp_path, text))
 
 
 def test_empty_dataset_is_allowed(tmp_path):

@@ -17,7 +17,7 @@ from scipy.special import gammaln
 from bnsl.dataset import Dataset, contingency
 from bnsl.errors import DataError
 from bnsl.regret import RegretCache, regret_exact
-from bnsl.scores import (CRITERIA, ScoreConfig, Scorer, local_score,
+from bnsl.scores import (CRITERIA, ScoreConfig, local_score,
                          max_loglik_conditional, per_variable_scores,
                          total_score)
 from bnsl.structure import DagStructure, is_covered_arc, reverse_covered_arc
@@ -198,15 +198,6 @@ def test_category_relabeling_invariance(seed):
         cfg = ScoreConfig(criterion=crit, regret_method="exact")
         assert total_score(data, g, cfg) == pytest.approx(
             total_score(relabeled, g, cfg), abs=1e-9)
-
-
-def test_scorer_matches_direct_evaluation(rng):
-    data = random_dataset(rng, 4, 30)
-    scorer = Scorer(data, ScoreConfig(criterion="qnml"))
-    g = random_dag(rng, 4)
-    direct = total_score(data, g, ScoreConfig(criterion="qnml"))
-    assert scorer.total(g) == pytest.approx(direct, abs=1e-12)
-    assert scorer.total(g) == scorer.total(g)
 
 
 def test_empty_dataset_scores():

@@ -27,8 +27,6 @@ from .regret import regret_exact, regret_szp_all_range, regret_szp_small_r
 from .scores import CRITERIA, ScoreConfig
 from .structure import cpdag_shd, parameter_count, to_cpdag
 
-KINDS = ("regret-table", "shd-curve", "predict-rank", "param-count")
-
 DEFAULT_CRITERIA = ("bdeu", "bic", "fnml", "qnml")
 DEFAULT_SAMPLE_SIZES = (10, 100, 1000, 10000)
 DEFAULT_FRACTIONS = tuple(round(0.1 * k, 1) for k in range(1, 10))
@@ -298,6 +296,15 @@ def run_param_count(spec: ExperimentSpec) -> list[list[str]]:
     return rows
 
 
+RUNNERS = {
+    "regret-table": run_regret_table,
+    "shd-curve": run_shd_curve,
+    "predict-rank": run_predict_rank,
+    "param-count": run_param_count,
+}
+KINDS = tuple(RUNNERS)
+
+
 def run_experiment(spec: ExperimentSpec, out_dir: str) -> dict:
     """Run one experiment and write ``<kind>.csv`` plus ``manifest.json``.
 
@@ -305,14 +312,7 @@ def run_experiment(spec: ExperimentSpec, out_dir: str) -> dict:
     output field that varies between reruns of the same spec.
     """
     start = time.perf_counter()
-    if spec.kind == "regret-table":
-        rows = run_regret_table(spec)
-    elif spec.kind == "shd-curve":
-        rows = run_shd_curve(spec)
-    elif spec.kind == "predict-rank":
-        rows = run_predict_rank(spec)
-    else:
-        rows = run_param_count(spec)
+    rows = RUNNERS[spec.kind](spec)
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -13,7 +13,8 @@ import os
 import sys
 import time
 
-from .bench import KINDS, default_spec, load_spec, run_experiment, run_regret_table
+from .bench import (KINDS, RUNNERS, default_spec, load_spec, run_experiment,
+                    run_regret_table)
 from .dataset import Dataset, load_dataset, load_datasets_shared, write_dataset
 from .errors import DataError, ResourceLimitError
 from .learner import learn_exact
@@ -162,14 +163,8 @@ def _cmd_bench(args) -> int:
               f"{time.perf_counter() - start:.1f}s -> {args.out}",
               file=sys.stderr)
     else:
-        from .bench import run_param_count, run_predict_rank, run_shd_curve
-        runner = {
-            "regret-table": run_regret_table,
-            "shd-curve": run_shd_curve,
-            "predict-rank": run_predict_rank,
-            "param-count": run_param_count,
-        }[spec.kind]
-        csv.writer(sys.stdout, lineterminator="\n").writerows(runner(spec))
+        csv.writer(sys.stdout, lineterminator="\n").writerows(
+            RUNNERS[spec.kind](spec))
     return 0
 
 

@@ -98,6 +98,8 @@ def load_datasets_shared(paths, declared_arities=None) -> list[Dataset]:
     index assigned to each category string; per-file sorted mappings would
     otherwise drift whenever one file misses a category.
     """
+    if not paths:
+        raise DataError("no dataset files given")
     headers = []
     raws = []
     for path in paths:

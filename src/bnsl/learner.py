@@ -13,7 +13,6 @@ among equal-scoring sinks, the smallest variable index.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass
 from itertools import combinations
@@ -27,23 +26,25 @@ from .scores import ScoreConfig, local_score
 from .structure import (DagStructure, dag_from_masks, enumerate_dags,
                         mask_to_parents, parents_to_mask)
 
-MAX_FULL_VARS = 20
-MAX_CAPPED_VARS = 31
+MAX_VARS = 20
 BRUTEFORCE_MAX_VARS = 5
-# peak entries n 2^(n-1) + 2^n at the n = 20 limit
-MAX_PEAK_ENTRIES = 20 * (1 << 19) + (1 << 20)
 
 
 @dataclass(frozen=True)
 class LocalScoreTable:
-    """Per-child map from parent-set bitmask to local score."""
+    """Local scores as one read-only float64 array of shape n x 2^(n-1).
+
+    Row c is child c; column m is the parent set whose bits index the other
+    variables in ascending order (see _compress_mask). Parent sets larger
+    than max_parents hold -inf.
+    """
 
     n: int
-    scores: tuple[dict, ...]
+    scores: np.ndarray
     max_parents: int | None
 
     def entry_count(self) -> int:
-        return sum(len(d) for d in self.scores)
+        return int(np.isfinite(self.scores).sum())
 
 
 @dataclass(frozen=True)
@@ -52,13 +53,6 @@ class LearnResult:
     total_score: float
     per_variable: tuple[float, ...]
     elapsed: float
-
-
-def _table_entry_count(n: int, max_parents: int | None) -> int:
-    if max_parents is None:
-        return n * (1 << (n - 1))
-    cap = min(max_parents, n - 1)
-    return n * sum(math.comb(n - 1, k) for k in range(cap + 1))
 
 
 def compute_local_scores(data: Dataset, cfg: ScoreConfig,
@@ -70,34 +64,24 @@ def compute_local_scores(data: Dataset, cfg: ScoreConfig,
     n = data.n_vars
     if max_parents is not None and max_parents < 0:
         raise DataError("max_parents must be nonnegative")
-    if max_parents is None and n > MAX_FULL_VARS:
+    if n > MAX_VARS:
         raise ResourceLimitError(
-            f"{n} variables exceed the exhaustive parent-set limit of "
-            f"{MAX_FULL_VARS}; pass max_parents to cap the search")
-    if n > MAX_CAPPED_VARS:
-        raise ResourceLimitError(
-            f"{n} variables exceed the {MAX_CAPPED_VARS}-variable limit")
-    if _table_entry_count(n, max_parents) > MAX_PEAK_ENTRIES:
-        raise ResourceLimitError(
-            "local-score table would exceed the memory guard of "
-            f"{MAX_PEAK_ENTRIES} entries")
+            f"{n} variables exceed the subset search limit of {MAX_VARS}")
     cache = shared_cache(cfg.regret_method)
     cap = n - 1 if max_parents is None else min(max_parents, n - 1)
-
-    def score_child(child: int) -> dict:
+    scores = np.full((n, 1 << (n - 1)), -np.inf)
+    for child in range(n):
         others = [v for v in range(n) if v != child]
-        out = {}
         for size in range(cap + 1):
             for parents in combinations(others, size):
-                out[parents_to_mask(parents)] = local_score(
-                    data, child, parents, cfg, cache)
-        return out
+                cm = _compress_mask(parents_to_mask(parents), child)
+                scores[child, cm] = local_score(data, child, parents, cfg,
+                                                cache)
+    scores.flags.writeable = False
+    return LocalScoreTable(n, scores, max_parents)
 
-    return LocalScoreTable(n, tuple(score_child(child) for child in range(n)),
-                           max_parents)
 
-
-def _compress_mask(mask: int, child: int) -> int:
+def _compress_mask(mask, child):
     return ((mask >> (child + 1)) << child) | (mask & ((1 << child) - 1))
 
 
@@ -105,45 +89,62 @@ def _expand_mask(mask: int, child: int) -> int:
     return ((mask >> child) << (child + 1)) | (mask & ((1 << child) - 1))
 
 
-def _best_parents_per_child(table: LocalScoreTable):
-    """For every child and candidate set C, the best parent subset of C.
+def _popcount(size: int) -> np.ndarray:
+    return np.array([m.bit_count() for m in range(size)], dtype=np.int8)
 
-    Subset-lattice sweep: initialize each candidate set with its own score
-    where admissible, then fold in the best of each one-smaller subset, one
-    bit at a time. The comparison key (score desc, cardinality asc, bitmask
-    asc) is a total order, so any fold order yields the same winner.
+
+def _best_parents(scores: np.ndarray):
+    """For every child (row) and candidate set C, the best parent subset of C.
+
+    Subset-lattice sweep over all children at once: start each candidate
+    set with its own score, then fold in the best of each one-smaller
+    subset, one bit at a time. The comparison key (score desc, cardinality
+    asc, bitmask asc) is a total order, so any fold order yields the same
+    winner.
     """
-    n = table.n
-    size = 1 << (n - 1)
-    popcount = np.zeros(size, dtype=np.int64)
-    for b in range(n - 1):
-        popcount[(np.arange(size) & (1 << b)) != 0] += 1
-    best_scores = []
-    best_sets = []
-    for child in range(n):
-        score = np.full(size, -np.inf)
-        chosen = np.zeros(size, dtype=np.int64)
-        for full_mask, s in table.scores[child].items():
-            cm = _compress_mask(full_mask, child)
-            score[cm] = s
-            chosen[cm] = cm
-        idx = np.arange(size)
-        for b in range(n - 1):
-            has = idx[(idx & (1 << b)) != 0]
-            sub = has ^ (1 << b)
-            cand_score, cand_set = score[sub], chosen[sub]
-            cur_score, cur_set = score[has], chosen[has]
-            better = cand_score > cur_score
-            ties = cand_score == cur_score
-            pref = ties & ((popcount[cand_set] < popcount[cur_set])
-                           | ((popcount[cand_set] == popcount[cur_set])
-                              & (cand_set < cur_set)))
-            take = better | pref
-            score[has[take]] = cand_score[take]
-            chosen[has[take]] = cand_set[take]
-        best_scores.append(score)
-        best_sets.append(chosen)
-    return best_scores, best_sets
+    rows, size = scores.shape
+    best = scores.copy()
+    chosen = np.tile(np.arange(size), (rows, 1))
+    card = np.tile(_popcount(size), (rows, 1))
+    for b in range(size.bit_length() - 1):
+        # axis 2 of these views pairs every candidate set without bit b
+        # (index 0) with the same set plus bit b (index 1)
+        views = [a.reshape(rows, -1, 2, 1 << b) for a in (best, chosen, card)]
+        (cand_score, cur_score), (cand_set, cur_set), (cand_card, cur_card) = (
+            (v[:, :, 0], v[:, :, 1]) for v in views)
+        take = (cand_score > cur_score) | (
+            (cand_score == cur_score)
+            & ((cand_card < cur_card)
+               | ((cand_card == cur_card) & (cand_set < cur_set))))
+        for v in views:
+            np.copyto(v[:, :, 1], v[:, :, 0], where=take)
+    return best, chosen
+
+
+def _best_sinks(best_score: np.ndarray):
+    """Best network score and sink of every variable subset w.
+
+    Subsets are swept one popcount layer at a time, so every subset one
+    smaller is final before w is scored. Among equal scores the first
+    maximum, i.e. the smallest sink index, wins, exactly as a loop over
+    sinks in ascending order with a strict improvement would choose.
+    """
+    n = best_score.shape[0]
+    popcount = _popcount(1 << n)
+    sinks = np.arange(n)[:, None]
+    best = np.zeros(1 << n)
+    sink = np.full(1 << n, -1, dtype=np.int64)
+    for k in range(1, n + 1):
+        layer = np.flatnonzero(popcount == k)
+        # row s: w without sink s, meaningful only where s is in w
+        rest = layer ^ (1 << sinks)
+        value = np.where(rest < layer, best[rest] + best_score[
+            sinks, _compress_mask(rest, sinks)], -np.inf)
+        sink[layer] = value.argmax(axis=0)
+        best[layer] = value.max(axis=0)
+        if not (best[layer] > -np.inf).all():
+            raise DataError("subset sweep failed to place a sink")
+    return best, sink
 
 
 def learn_exact(data: Dataset, cfg: ScoreConfig,
@@ -151,41 +152,21 @@ def learn_exact(data: Dataset, cfg: ScoreConfig,
     """Provably optimal network for the criterion, via the subset DP."""
     start = time.perf_counter()
     n = data.n_vars
-    if n * (1 << (n - 1)) + (1 << n) > MAX_PEAK_ENTRIES:
-        raise ResourceLimitError(
-            f"subset DP over {n} variables exceeds the memory guard; "
-            f"the search supports at most {MAX_FULL_VARS} variables")
     table = compute_local_scores(data, cfg, max_parents)
-    best_score, best_set = _best_parents_per_child(table)
-    size = 1 << n
-    best = np.full(size, -np.inf)
-    best[0] = 0.0
-    sink = np.full(size, -1, dtype=np.int64)
-    for w in range(1, size):
-        bits = w
-        while bits:
-            s = (bits & -bits).bit_length() - 1
-            bits &= bits - 1
-            rest = w ^ (1 << s)
-            value = best[rest] + best_score[s][_compress_mask(rest, s)]
-            # strict improvement keeps the smallest qualifying sink index
-            if value > best[w]:
-                best[w] = value
-                sink[w] = s
-        if sink[w] < 0:
-            raise DataError("subset sweep failed to place a sink")
+    best_score, best_set = _best_parents(table.scores)
+    _, sink = _best_sinks(best_score)
     parents = [()] * n
-    w = size - 1
+    per = [0.0] * n
+    w = (1 << n) - 1
     while w:
         s = int(sink[w])
         rest = w ^ (1 << s)
-        cm = int(best_set[s][_compress_mask(rest, s)])
-        parents[s] = mask_to_parents(_expand_mask(cm, s))
+        cm = _compress_mask(rest, s)
+        parents[s] = mask_to_parents(_expand_mask(int(best_set[s, cm]), s))
+        per[s] = float(best_score[s, cm])
         w = rest
     g = DagStructure(n, tuple(parents), data.names)
-    per = tuple(table.scores[i][parents_to_mask(g.parents[i])]
-                for i in range(n))
-    return LearnResult(g, float(sum(per)), per,
+    return LearnResult(g, float(sum(per)), tuple(per),
                        time.perf_counter() - start)
 
 
@@ -201,18 +182,18 @@ def learn_bruteforce(data: Dataset, cfg: ScoreConfig) -> LearnResult:
         raise ResourceLimitError(
             f"brute-force search supports at most {BRUTEFORCE_MAX_VARS} "
             f"variables, got {n}")
-    table = compute_local_scores(data, cfg)
+    table = compute_local_scores(data, cfg).scores.tolist()
     best_key = None
     best_masks = None
-    best_total = -math.inf
     for masks in enumerate_dags(n):
         total = 0.0
         for child, mask in enumerate(masks):
-            total += table.scores[child][mask]
+            total += table[child][_compress_mask(mask, child)]
         arcs = sum(m.bit_count() for m in masks)
         key = (-total, arcs, masks)
         if best_key is None or key < best_key:
-            best_key, best_masks, best_total = key, masks, total
+            best_key, best_masks = key, masks
     g = dag_from_masks(best_masks, data.names)
-    per = tuple(table.scores[i][best_masks[i]] for i in range(n))
+    per = tuple(table[i][_compress_mask(best_masks[i], i)]
+                for i in range(n))
     return LearnResult(g, float(sum(per)), per, time.perf_counter() - start)

@@ -16,14 +16,11 @@ import numpy as np
 from scipy.special import gammaln
 
 from .dataset import ContingencyTable, Dataset, contingency, counts_loglik
-from .errors import DataError, ResourceLimitError
+from .errors import DataError
 from .regret import RegretCache, canonical_method, shared_cache
 from .structure import DagStructure
 
 CRITERIA = ("bic", "bdeu", "fnml", "qnml", "bdq")
-
-# qNML collapses child and parents into one variable with q*r cells
-COLLAPSED_CELL_LIMIT = 1 << 62
 
 
 @dataclass(frozen=True)
@@ -97,11 +94,8 @@ def qnml_local(table: ContingencyTable, n_rows: int, cfg: ScoreConfig,
     invariant under covered-arc reversal.
     """
     cache = _resolve_cache(cfg, cache)
-    cells = table.q * table.r
-    if cells > COLLAPSED_CELL_LIMIT:
-        raise ResourceLimitError(
-            "collapsed family exceeds 2**62 joint configurations")
-    penalty = cache.get(n_rows, cells) - cache.get(n_rows, table.q)
+    penalty = (cache.get(n_rows, table.q * table.r)
+               - cache.get(n_rows, table.q))
     return max_loglik_conditional(table) - penalty
 
 

@@ -55,6 +55,8 @@ def test_load_rejects_malformed_files(tmp_path):
         for text in ("", "\n", "A,A\n0,0\n", "A,B\n0\n", "A,B\n0,\n"):
             with pytest.raises(DataError):
                 load(write(tmp_path, text))
+    with pytest.raises(DataError):
+        load_datasets_shared([])
 
 
 def test_empty_dataset_is_allowed(tmp_path):

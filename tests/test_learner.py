@@ -1,12 +1,14 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from bnsl.dataset import Dataset
 from bnsl.errors import ResourceLimitError
-from bnsl.learner import (compute_local_scores, learn_bruteforce, learn_exact)
+from bnsl.learner import (_best_parents, _best_sinks, _compress_mask,
+                          compute_local_scores, learn_bruteforce, learn_exact)
 from bnsl.scores import CRITERIA, ScoreConfig, local_score, total_score
-from bnsl.structure import mask_to_parents
 
 from conftest import random_dataset
 
@@ -76,25 +78,85 @@ def test_determinism_across_runs(rng):
 
 
 def test_local_score_table_shape(rng):
-    data = random_dataset(rng, 4, 20)
-    table = compute_local_scores(data, ScoreConfig(criterion="bic"))
-    assert table.n == 4
-    # every child scores every subset of the other three variables
-    assert all(len(s) == 8 for s in table.scores)
-    capped = compute_local_scores(data, ScoreConfig(criterion="bic"),
-                                  max_parents=1)
-    assert capped.max_parents == 1
-    # capped at one parent: the empty set and three singletons
-    assert all(len(s) == 4 for s in capped.scores)
-    # differential oracle: every entry is exactly the per-family score
+    n = 4
+    data = random_dataset(rng, n, 20)
+    popcount = np.array([bin(m).count("1") for m in range(1 << (n - 1))])
     for criterion in CRITERIA:
         cfg = ScoreConfig(criterion=criterion)
         for max_parents in (None, 1):
             table = compute_local_scores(data, cfg, max_parents)
-            for child, entries in enumerate(table.scores):
-                for mask, value in entries.items():
-                    parents = mask_to_parents(mask)
-                    assert value == local_score(data, child, parents, cfg)
+            assert table.n == n and table.max_parents == max_parents
+            assert table.scores.shape == (n, 1 << (n - 1))
+            assert not table.scores.flags.writeable
+            cap = n - 1 if max_parents is None else max_parents
+            # -inf marks exactly the parent sets above the cap
+            assert np.array_equal(table.scores == -np.inf,
+                                  np.tile(popcount > cap, (n, 1)))
+            assert table.entry_count() == n * sum(
+                math.comb(n - 1, k) for k in range(cap + 1))
+            # differential oracle: every entry is exactly the per-family
+            # score, with column bits over the other variables ascending
+            for child in range(n):
+                others = [v for v in range(n) if v != child]
+                for cm in np.flatnonzero(popcount <= cap):
+                    parents = tuple(v for k, v in enumerate(others)
+                                    if cm >> k & 1)
+                    assert table.scores[child, cm] == local_score(
+                        data, child, parents, cfg)
+
+
+def _reference_best_parents(scores):
+    """Per child and candidate set, a direct search over all its subsets."""
+    best = np.empty_like(scores)
+    chosen = np.empty(scores.shape, dtype=np.int64)
+    for child in range(scores.shape[0]):
+        for cand in range(scores.shape[1]):
+            subsets = [cand]
+            while subsets[-1]:
+                subsets.append((subsets[-1] - 1) & cand)
+            m = min(subsets, key=lambda m: (-scores[child, m],
+                                            bin(m).count("1"), m))
+            best[child, cand], chosen[child, cand] = scores[child, m], m
+    return best, chosen
+
+
+def _reference_sinks(best_score):
+    """The per-subset sink loop: subsets ascending, then sinks ascending."""
+    n = best_score.shape[0]
+    best = np.full(1 << n, -np.inf)
+    best[0] = 0.0
+    sink = np.full(1 << n, -1, dtype=np.int64)
+    for w in range(1, 1 << n):
+        for s in range(n):
+            if w >> s & 1:
+                rest = w ^ (1 << s)
+                value = best[rest] + best_score[s, _compress_mask(rest, s)]
+                if value > best[w]:
+                    best[w], sink[w] = value, s
+    return best, sink
+
+
+@pytest.mark.parametrize("ties", [False, True])
+def test_vectorized_sweeps_match_reference_loops(ties):
+    rng = np.random.default_rng(7)
+    for n in range(1, 11):
+        shape = (n, 1 << (n - 1))
+        if ties:
+            scores = rng.integers(-3, 1, size=shape).astype(np.float64)
+        else:
+            scores = rng.normal(size=shape)
+        # cap the parent sets like compute_local_scores does
+        cap = int(rng.integers(0, n))
+        popcount = np.array([bin(m).count("1") for m in range(shape[1])])
+        scores[:, popcount > cap] = -np.inf
+        best_score, best_set = _best_parents(scores)
+        ref_score, ref_set = _reference_best_parents(scores)
+        assert np.array_equal(best_score, ref_score)
+        assert np.array_equal(best_set, ref_set)
+        best, sink = _best_sinks(best_score)
+        ref_best, ref_sink = _reference_sinks(best_score)
+        assert np.array_equal(best, ref_best)
+        assert np.array_equal(sink, ref_sink)
 
 
 def test_variable_count_guards():
@@ -105,6 +167,9 @@ def test_variable_count_guards():
         learn_exact(data, ScoreConfig(criterion="bic"))
     with pytest.raises(ResourceLimitError):
         learn_exact(data, ScoreConfig(criterion="bic"), max_parents=2)
+    with pytest.raises(ResourceLimitError):
+        compute_local_scores(data, ScoreConfig(criterion="bic"),
+                             max_parents=1)
     n = 6
     data = Dataset(tuple(f"V{i}" for i in range(n)), (2,) * n,
                    np.zeros((4, n), dtype=np.int64))

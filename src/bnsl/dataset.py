@@ -161,40 +161,6 @@ def load_datasets_shared(paths, declared_arities=None) -> list[Dataset]:
     return out
 
 
-@dataclass(frozen=True, eq=False)
-class ContingencyTable:
-    """Counts of one child variable split by the joint parent configuration.
-
-    counts has one row per parent configuration over the FULL configuration
-    space (q rows even when some configurations never occur) and one column
-    per child value.
-    """
-
-    child: int
-    parents: tuple[int, ...]
-    counts: np.ndarray
-    row_totals: np.ndarray
-    q: int
-
-    def __post_init__(self):
-        counts = np.asarray(self.counts, dtype=np.int64)
-        totals = np.asarray(self.row_totals, dtype=np.int64)
-        object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "row_totals", totals)
-        if counts.shape[0] != self.q or totals.shape != (self.q,):
-            raise DataError("contingency shapes do not match q")
-        counts.setflags(write=False)
-        totals.setflags(write=False)
-
-    @property
-    def r(self) -> int:
-        return self.counts.shape[1]
-
-    @property
-    def n_obs(self) -> int:
-        return int(self.row_totals.sum())
-
-
 def config_index(values, parents, arities) -> int:
     """Mixed-radix parent-configuration index of one row of values."""
     j = 0
@@ -211,8 +177,12 @@ def config_indices(rows: np.ndarray, parents, arities) -> np.ndarray:
     return np.ravel_multi_index(tuple(rows[:, p] for p in parents), dims)
 
 
-def contingency(data: Dataset, child: int, parents) -> ContingencyTable:
+def contingency(data: Dataset, child: int, parents) -> np.ndarray:
     """Count (parent configuration, child value) pairs over the whole dataset.
+
+    Returns a q x r int64 array: one row per parent configuration over the
+    FULL configuration space (q rows even when some configurations never
+    occur) and one column per child value.
 
     Args:
         data: the dataset to count over.
@@ -232,18 +202,17 @@ def contingency(data: Dataset, child: int, parents) -> ContingencyTable:
     if data.n_rows:
         j = config_indices(data.rows, parents, data.arities)
         flat = j * r + data.rows[:, child]
-        counts = np.bincount(flat, minlength=q * r).reshape(q, r)
-    else:
-        counts = np.zeros((q, r), dtype=np.int64)
-    return ContingencyTable(int(child), parents, counts, counts.sum(axis=1), q)
+        return np.bincount(flat, minlength=q * r).reshape(q, r)
+    return np.zeros((q, r), dtype=np.int64)
 
 
-def counts_loglik(counts, row_totals) -> float:
-    """Maximized conditional log-likelihood of a contingency table.
+def counts_loglik(counts) -> float:
+    """Maximized conditional log-likelihood of a q x r contingency array.
 
     Equals sum_jk N_jk ln(N_jk / N_j) with 0 ln 0 = 0; always <= 0.
     """
-    raw = float(xlogy(counts, counts).sum() - xlogy(row_totals, row_totals).sum())
+    totals = counts.sum(axis=1)
+    raw = float(xlogy(counts, counts).sum() - xlogy(totals, totals).sum())
     return min(0.0, raw)
 
 
@@ -251,8 +220,7 @@ def empirical_cond_entropy(data: Dataset, child: int, parents) -> float:
     """Empirical conditional entropy H(child | parents) in nats."""
     if data.n_rows == 0:
         raise DataError("conditional entropy needs at least one row")
-    table = contingency(data, child, parents)
-    return -counts_loglik(table.counts, table.row_totals) / data.n_rows
+    return -counts_loglik(contingency(data, child, parents)) / data.n_rows
 
 
 def _check_family(n: int, child: int, parents) -> None:

@@ -104,7 +104,8 @@ def _best_parents(scores: np.ndarray):
     """
     rows, size = scores.shape
     best = scores.copy()
-    chosen = np.tile(np.arange(size), (rows, 1))
+    # compressed masks stay below 2^(MAX_VARS - 1), so int32 holds them
+    chosen = np.tile(np.arange(size, dtype=np.int32), (rows, 1))
     card = np.tile(_popcount(size), (rows, 1))
     for b in range(size.bit_length() - 1):
         # axis 2 of these views pairs every candidate set without bit b

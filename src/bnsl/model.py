@@ -69,19 +69,19 @@ def _fit(data: Dataset, g: DagStructure, weights) -> BayesianNetwork:
         raise DataError("dataset and graph variable counts differ")
     cpts = []
     for i in range(g.n):
-        table = contingency(data, i, g.parents[i])
-        w = np.asarray(weights(table), dtype=np.float64)
+        counts = contingency(data, i, g.parents[i])
+        w = np.asarray(weights(counts), dtype=np.float64)
         totals = w.sum(axis=1, keepdims=True)
         # rows with no mass anywhere fall back to the uniform distribution
         safe = np.where(totals > 0.0, totals, 1.0)
-        cpt = np.where(totals > 0.0, w / safe, 1.0 / table.r)
+        cpt = np.where(totals > 0.0, w / safe, 1.0 / counts.shape[1])
         cpts.append(cpt)
     return BayesianNetwork(g, data.arities, tuple(cpts))
 
 
 def fit_ml(data: Dataset, g: DagStructure) -> BayesianNetwork:
     """Maximum-likelihood CPTs; unobserved parent rows become uniform."""
-    return _fit(data, g, lambda t: t.counts)
+    return _fit(data, g, lambda counts: counts)
 
 
 def fit_snml(data: Dataset, g: DagStructure) -> BayesianNetwork:
@@ -91,8 +91,8 @@ def fit_snml(data: Dataset, g: DagStructure) -> BayesianNetwork:
     e(m) = ((m+1)/m)^m, then rows are normalized. Strictly positive.
     """
 
-    def weights(t):
-        c = t.counts.astype(np.float64)
+    def weights(counts):
+        c = counts.astype(np.float64)
         base = np.where(c == 0.0, 1.0, (c + 1.0) / np.where(c == 0.0, 1.0, c))
         return np.power(base, c) * (c + 1.0)
 
@@ -101,7 +101,7 @@ def fit_snml(data: Dataset, g: DagStructure) -> BayesianNetwork:
 
 def fit_bpp(data: Dataset, g: DagStructure) -> BayesianNetwork:
     """Bayesian predictive CPTs under a Dirichlet(1/(r q), ...) prior."""
-    return _fit(data, g, lambda t: t.counts + 1.0 / (t.r * t.q))
+    return _fit(data, g, lambda counts: counts + 1.0 / counts.size)
 
 
 def log_predict(net: BayesianNetwork, row) -> float:

@@ -1,10 +1,10 @@
 """Decomposable local scores for structure learning.
 
-Five criteria share the signature local(child | parents, data): BIC, BDeu,
-fNML, qNML and BDq. Every score is a natural-log quantity and decomposes
-over variables, so the network score is the sum of local terms. Parent
-configuration counts q_i always use the full arity product, never just the
-configurations observed in the data.
+Five criteria, BIC, BDeu, fNML, qNML and BDq, are each a function of one
+family's q x r count array (see dataset.contingency). Every score is a
+natural-log quantity and decomposes over variables, so the network score is
+the sum of local terms. Parent configuration counts q_i always use the full
+arity product, never just the configurations observed in the data.
 """
 
 from __future__ import annotations
@@ -15,12 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .dataset import ContingencyTable, Dataset, contingency, counts_loglik
+from .dataset import Dataset, contingency, counts_loglik
 from .errors import DataError
 from .regret import RegretCache, canonical_method, shared_cache
 from .structure import DagStructure
-
-CRITERIA = ("bic", "bdeu", "fnml", "qnml", "bdq")
 
 
 @dataclass(frozen=True)
@@ -47,67 +45,61 @@ class ScoreConfig:
                            canonical_method(self.regret_method))
 
 
-def _resolve_cache(cfg: ScoreConfig, cache: RegretCache | None) -> RegretCache:
-    return cache if cache is not None else shared_cache(cfg.regret_method)
-
-
-def max_loglik_conditional(table: ContingencyTable) -> float:
-    """ln P(child column | parent columns) at the ML parameters; always <= 0."""
-    return counts_loglik(table.counts, table.row_totals)
-
-
-def bic_local(table: ContingencyTable, n_rows: int) -> float:
+def bic_local(counts: np.ndarray, n_rows: int, cfg: ScoreConfig,
+              cache: RegretCache) -> float:
     """Maximized log-likelihood minus (q (r-1) / 2) ln N."""
     if n_rows < 1:
         raise DataError("BIC needs at least one data row")
-    penalty = 0.5 * table.q * (table.r - 1) * math.log(n_rows)
-    return max_loglik_conditional(table) - penalty
+    q, r = counts.shape
+    penalty = 0.5 * q * (r - 1) * math.log(n_rows)
+    return counts_loglik(counts) - penalty
 
 
-def bdeu_local(table: ContingencyTable, cfg: ScoreConfig) -> float:
+def bdeu_local(counts: np.ndarray, n_rows: int, cfg: ScoreConfig,
+               cache: RegretCache) -> float:
     """BDeu marginal likelihood with equivalent sample size cfg.bdeu_alpha."""
-    a_j = cfg.bdeu_alpha / table.q
-    a_jk = cfg.bdeu_alpha / (table.q * table.r)
+    a_j = cfg.bdeu_alpha / counts.shape[0]
+    a_jk = cfg.bdeu_alpha / counts.size
     # unobserved configurations contribute exactly 0 to both sums
-    score = float((gammaln(a_jk + table.counts) - gammaln(a_jk)).sum())
-    score += float((gammaln(a_j) - gammaln(a_j + table.row_totals)).sum())
+    score = float((gammaln(a_jk + counts) - gammaln(a_jk)).sum())
+    score += float((gammaln(a_j) - gammaln(a_j + counts.sum(axis=1))).sum())
     return score
 
 
-def fnml_local(table: ContingencyTable, cfg: ScoreConfig,
-               cache: RegretCache | None = None) -> float:
+def fnml_local(counts: np.ndarray, n_rows: int, cfg: ScoreConfig,
+               cache: RegretCache) -> float:
     """Factorized NML: per observed parent configuration, regret of its slice."""
-    cache = _resolve_cache(cfg, cache)
+    r = counts.shape[1]
     penalty = 0.0
-    for n_j in table.row_totals:
+    for n_j in counts.sum(axis=1):
         if n_j > 0:
-            penalty += cache.get(int(n_j), table.r)
-    return max_loglik_conditional(table) - penalty
+            penalty += cache.get(int(n_j), r)
+    return counts_loglik(counts) - penalty
 
 
-def qnml_local(table: ContingencyTable, n_rows: int, cfg: ScoreConfig,
-               cache: RegretCache | None = None) -> float:
+def qnml_local(counts: np.ndarray, n_rows: int, cfg: ScoreConfig,
+               cache: RegretCache) -> float:
     """Quotient NML: regret of the collapsed family minus regret of the parents.
 
     Both regret terms are evaluated at the full sample size with cell counts
     taken from the full arity product, which is what makes the score exactly
     invariant under covered-arc reversal.
     """
-    cache = _resolve_cache(cfg, cache)
-    penalty = (cache.get(n_rows, table.q * table.r)
-               - cache.get(n_rows, table.q))
-    return max_loglik_conditional(table) - penalty
+    penalty = (cache.get(n_rows, counts.size)
+               - cache.get(n_rows, counts.shape[0]))
+    return counts_loglik(counts) - penalty
 
 
-def bdq_local(table: ContingencyTable, n_rows: int, cfg: ScoreConfig) -> float:
+def bdq_local(counts: np.ndarray, n_rows: int, cfg: ScoreConfig,
+              cache: RegretCache) -> float:
     """Quotient Bayesian score: joint family marginal over parent-set marginal.
 
     Each marginal treats the collapsed variable set as one categorical with a
     symmetric Dirichlet(alpha, ..., alpha) prior over its full cell space.
     """
     a = cfg.bdq_alpha
-    num = _collapsed_marginal(table.counts.ravel(), table.q * table.r, n_rows, a)
-    den = _collapsed_marginal(table.row_totals, table.q, n_rows, a)
+    num = _collapsed_marginal(counts.ravel(), counts.size, n_rows, a)
+    den = _collapsed_marginal(counts.sum(axis=1), counts.shape[0], n_rows, a)
     return num - den
 
 
@@ -117,33 +109,27 @@ def _collapsed_marginal(counts, m: int, n_rows: int, alpha: float) -> float:
     return float(score)
 
 
-def local_score_from_table(table: ContingencyTable, n_rows: int,
-                           cfg: ScoreConfig,
-                           cache: RegretCache | None = None) -> float:
-    c = cfg.criterion
-    if c == "bic":
-        return bic_local(table, n_rows)
-    if c == "bdeu":
-        return bdeu_local(table, cfg)
-    if c == "fnml":
-        return fnml_local(table, cfg, cache)
-    if c == "qnml":
-        return qnml_local(table, n_rows, cfg, cache)
-    return bdq_local(table, n_rows, cfg)
+# criterion name -> local score of one family's q x r count array
+_LOCAL = {"bic": bic_local, "bdeu": bdeu_local, "fnml": fnml_local,
+          "qnml": qnml_local, "bdq": bdq_local}
+CRITERIA = tuple(_LOCAL)
 
 
 def local_score(data: Dataset, child: int, parents, cfg: ScoreConfig,
                 cache: RegretCache | None = None) -> float:
     """Local score of one (child, parent set) family on the dataset."""
-    table = contingency(data, child, parents)
-    return local_score_from_table(table, data.n_rows, cfg, cache)
+    if cache is None:
+        cache = shared_cache(cfg.regret_method)
+    return _LOCAL[cfg.criterion](contingency(data, child, parents),
+                                 data.n_rows, cfg, cache)
 
 
 def per_variable_scores(data: Dataset, g: DagStructure, cfg: ScoreConfig,
                         cache: RegretCache | None = None) -> tuple[float, ...]:
     if data.n_vars != g.n:
         raise DataError("dataset and graph variable counts differ")
-    cache = _resolve_cache(cfg, cache)
+    if cache is None:
+        cache = shared_cache(cfg.regret_method)
     return tuple(local_score(data, i, g.parents[i], cfg, cache)
                  for i in range(g.n))
 

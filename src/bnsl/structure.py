@@ -2,7 +2,7 @@
 
 Covers validation and topological ordering, covered-arc tests and reversal,
 conversion to the equivalence-class pattern (CPDAG) via v-structure
-orientation plus the four orientation-propagation rules, structural Hamming
+orientation plus Meek's orientation-propagation rules 1-3, structural Hamming
 distance between patterns, connected components, tournament-component
 detection and counting, exhaustive DAG enumeration for small n, and a
 brute-force NML evaluator used as a test oracle.
@@ -127,14 +127,16 @@ def _apply_orientation_rules(n: int, arc: np.ndarray) -> None:
     """Propagate compelled orientations to a fixpoint, in place.
 
     arc[u, v] and arc[v, u] both set means an undirected edge; only
-    arc[u, v] means u -> v. The four rules:
+    arc[u, v] means u -> v. The three rules:
 
       1: a -> b, b - c, a and c nonadjacent        => b -> c
       2: a -> b -> c, a - c                        => a -> c
       3: a - b, a - c, a - d, c -> b, d -> b,
          c and d nonadjacent                       => a -> b
-      4: c - b, c - d, c - a, d -> a, a -> b,
-         d and b nonadjacent                       => c -> b
+
+    Starting from a DAG's skeleton with its v-structures oriented, these
+    three are complete (Meek, UAI 1995); Meek's fourth rule is needed only
+    with background knowledge, which to_cpdag never has.
     """
 
     def adjacent(u, v):
@@ -182,27 +184,6 @@ def _apply_orientation_rules(n: int, arc: np.ndarray) -> None:
                        for i, c in enumerate(into_b) for d in into_b[i + 1:]):
                     orient(a, b)
                     changed = True
-        for c in range(n):
-            for b in range(n):
-                if c == b or not undirected(c, b):
-                    continue
-                done = False
-                for a in range(n):
-                    if a in (b, c) or not (arc[a, b] and not arc[b, a]):
-                        continue
-                    if not undirected(c, a):
-                        continue
-                    for d in range(n):
-                        if d in (a, b, c):
-                            continue
-                        if (arc[d, a] and not arc[a, d] and undirected(c, d)
-                                and not adjacent(d, b)):
-                            orient(c, b)
-                            changed = True
-                            done = True
-                            break
-                    if done:
-                        break
 
 
 def to_cpdag(g: DagStructure) -> Cpdag:
@@ -403,8 +384,7 @@ def parameter_count(g: DagStructure, arities) -> int:
 def _dataset_max_loglik(data: Dataset, g: DagStructure) -> float:
     total = 0.0
     for child in range(g.n):
-        table = contingency(data, child, g.parents[child])
-        total += counts_loglik(table.counts, table.row_totals)
+        total += counts_loglik(contingency(data, child, g.parents[child]))
     return total
 
 

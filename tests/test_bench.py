@@ -2,15 +2,11 @@
 
 import json
 import math
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-import bnsl
 from bnsl.bench import (
     DEFAULT_CRITERIA,
     DEFAULT_FRACTIONS,
@@ -259,30 +255,3 @@ def test_run_experiment_regret_table(tmp_path):
     text = (tmp_path / "regret-table.csv").read_text()
     assert text.splitlines()[0] == "n,r,szp1,szp2,exact"
     assert len(text.splitlines()) == 13
-
-
-# ---------------------------------------------------------------- scripts
-
-SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
-
-
-def run_script(name, *argv):
-    # the scripts import bnsl from wherever this test process found it
-    env = dict(os.environ)
-    src = str(Path(bnsl.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, str(SCRIPTS / name), *argv],
-                          capture_output=True, text=True, env=env)
-
-
-def test_experiment_scripts_run(tmp_path):
-    proc = run_script("run_shd_curves.py", "--reps", "1", "--sizes", "10",
-                      "--out", str(tmp_path / "shd"))
-    assert proc.returncode == 0, proc.stderr
-    assert (tmp_path / "shd" / "shd-curve.csv").exists()
-    proc = run_script("run_prediction_tables.py", "--reps", "1",
-                      "--fractions", "0.5", "--out", str(tmp_path))
-    assert proc.returncode == 0, proc.stderr
-    for kind in ("predict-rank", "param-count"):
-        assert (tmp_path / kind / f"{kind}.csv").exists()

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -131,12 +133,14 @@ def test_contingency_matches_naive_counting(n_vars, n_rows, seed):
     others = [j for j in range(n_vars) if j != child]
     k = int(rng.integers(0, len(others) + 1))
     parents = tuple(sorted(rng.choice(others, size=k, replace=False).tolist()))
-    table = contingency(data, child, parents)
-    naive = np.zeros((table.q, table.r))
+    counts = contingency(data, child, parents)
+    q = math.prod(data.arities[p] for p in parents)
+    naive = np.zeros((q, data.arities[child]), dtype=np.int64)
     for row in data.rows:
         naive[config_index(row, parents, data.arities), row[child]] += 1
-    assert np.array_equal(table.counts, naive)
-    assert np.array_equal(table.row_totals, naive.sum(axis=1))
+    assert counts.shape == naive.shape
+    assert counts.dtype == np.int64
+    assert np.array_equal(counts, naive)
 
 
 def test_contingency_rejects_bad_families(rng):
@@ -160,10 +164,10 @@ def test_contingency_cell_guard():
 def test_counts_loglik_hand_value():
     counts = np.array([[3.0, 1.0]])
     expected = 3 * np.log(3 / 4) + 1 * np.log(1 / 4)
-    assert counts_loglik(counts, counts.sum(axis=1)) == pytest.approx(expected)
+    assert counts_loglik(counts) == pytest.approx(expected)
     # all mass on one cell: exactly zero, not a tiny negative
     counts = np.array([[5.0, 0.0]])
-    assert counts_loglik(counts, counts.sum(axis=1)) == 0.0
+    assert counts_loglik(counts) == 0.0
 
 
 def test_empirical_cond_entropy(rng):

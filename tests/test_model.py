@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from bnsl.dataset import Dataset, contingency
+from bnsl.dataset import Dataset, contingency, counts_loglik
 from bnsl.errors import DataError
 from bnsl.model import (
     BayesianNetwork,
@@ -21,7 +21,6 @@ from bnsl.model import (
     sample,
     save_network,
 )
-from bnsl.scores import max_loglik_conditional
 from bnsl.structure import DagStructure
 
 from conftest import random_dag, random_dataset
@@ -100,7 +99,7 @@ def test_ml_training_loglik_matches_score_term(rng):
         g = random_dag(rng, 4)
         net = fit_ml(data, g)
         got = float(log_predict_rows(net, data).sum())
-        want = sum(max_loglik_conditional(contingency(data, i, g.parents[i]))
+        want = sum(counts_loglik(contingency(data, i, g.parents[i]))
                    for i in range(4))
         assert got == pytest.approx(want, abs=1e-9)
 

@@ -14,12 +14,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import gammaln
 
-from bnsl.dataset import Dataset, contingency
+from bnsl.dataset import Dataset, contingency, counts_loglik
 from bnsl.errors import DataError
 from bnsl.regret import RegretCache, regret_exact
 from bnsl.scores import (CRITERIA, ScoreConfig, local_score,
-                         max_loglik_conditional, per_variable_scores,
-                         total_score)
+                         per_variable_scores, total_score)
 from bnsl.structure import DagStructure, is_covered_arc, reverse_covered_arc
 
 from conftest import covered_arcs, random_dag, random_dataset
@@ -59,8 +58,7 @@ def test_config_validation():
 def test_max_loglik_matches_counter_oracle(seed):
     rng = np.random.default_rng(seed)
     data = random_dataset(rng, 3, int(rng.integers(1, 40)))
-    table = contingency(data, 0, (1, 2))
-    assert max_loglik_conditional(table) == pytest.approx(
+    assert counts_loglik(contingency(data, 0, (1, 2))) == pytest.approx(
         naive_mll(data, 0, (1, 2)), abs=1e-9)
 
 

@@ -3,7 +3,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from bnsl.dataset import Dataset
 from bnsl.errors import DataError, ResourceLimitError
@@ -103,26 +102,6 @@ def test_cpdag_equivalence_classes_share_output():
     assert to_cpdag(collider) != to_cpdag(g1)
 
 
-def brute_force_cpdag(g):
-    """Verma-Pearl characterization: skeleton plus v-structure arcs define
-    the class; a pair is directed iff it is oriented the same way in every
-    member of the class."""
-    n = g.n
-    members = [h for h in map(dag_from_masks, enumerate_dags(n))
-               if skeleton(h) == skeleton(g) and vstructs(h) == vstructs(g)]
-    directed, undirected = set(), set()
-    for u in range(n):
-        for v in range(n):
-            if u < v and (u, v) in skeleton(g):
-                if all(h.has_arc(u, v) for h in members):
-                    directed.add((u, v))
-                elif all(h.has_arc(v, u) for h in members):
-                    directed.add((v, u))
-                else:
-                    undirected.add((u, v))
-    return frozenset(directed), frozenset(undirected)
-
-
 def skeleton(g):
     return frozenset((min(a, b), max(a, b))
                      for b in range(g.n) for a in g.parents[b])
@@ -137,14 +116,33 @@ def vstructs(g):
     return frozenset(out)
 
 
-@given(st.integers(1, 10 ** 6))
-@settings(max_examples=30)
-def test_cpdag_matches_equivalence_enumeration(seed):
-    g = random_dag(np.random.default_rng(seed), 4)
-    c = to_cpdag(g)
-    directed, undirected = brute_force_cpdag(g)
-    assert c.directed == directed
-    assert c.undirected == undirected
+def brute_force_cpdag(members):
+    """Verma-Pearl characterization: skeleton plus v-structure arcs define
+    the class; a pair is directed iff it is oriented the same way in every
+    member of the class."""
+    directed, undirected = set(), set()
+    for u, v in skeleton(members[0]):
+        if all(h.has_arc(u, v) for h in members):
+            directed.add((u, v))
+        elif all(h.has_arc(v, u) for h in members):
+            directed.add((v, u))
+        else:
+            undirected.add((u, v))
+    return frozenset(directed), frozenset(undirected)
+
+
+def test_cpdag_matches_equivalence_enumeration():
+    # every four-node DAG, against the pattern of its whole class
+    classes = {}
+    for h in map(dag_from_masks, enumerate_dags(4)):
+        classes.setdefault((skeleton(h), vstructs(h)), []).append(h)
+    assert sum(map(len, classes.values())) == 543
+    for members in classes.values():
+        directed, undirected = brute_force_cpdag(members)
+        for g in members:
+            c = to_cpdag(g)
+            assert c.directed == directed
+            assert c.undirected == undirected
 
 
 def test_cpdag_shd_hand_cases():

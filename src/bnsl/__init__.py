@@ -57,7 +57,6 @@ from .scores import (
 from .structure import (
     Cpdag,
     DagStructure,
-    connected_components,
     count_tournament_component_dags,
     cpdag_shd,
     enumerate_dags,
@@ -89,7 +88,6 @@ __all__ = [
     "compute_local_scores",
     "config_index",
     "config_indices",
-    "connected_components",
     "contingency",
     "count_tournament_component_dags",
     "counts_loglik",

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import csv
 import json
+import numbers
+import os
 import platform
 import time
 from dataclasses import dataclass
@@ -56,38 +58,53 @@ class ExperimentSpec:
         if self.kind not in KINDS:
             raise DataError(f"unknown experiment kind {self.kind!r}; "
                             f"expected one of {', '.join(KINDS)}")
-        object.__setattr__(self, "criteria", tuple(self.criteria))
+        object.__setattr__(self, "criteria", _items(self.criteria, "criteria"))
         for c in self.criteria:
             if c not in CRITERIA:
                 raise DataError(f"unknown criterion {c!r}")
         if not self.criteria:
             raise DataError("criteria list is empty")
-        object.__setattr__(self, "sample_sizes",
-                           tuple(int(n) for n in self.sample_sizes))
+        object.__setattr__(self, "sample_sizes", tuple(
+            _integer(n, "each sample size")
+            for n in _items(self.sample_sizes, "sample sizes")))
         if any(n <= 0 for n in self.sample_sizes):
             raise DataError("sample sizes must be positive")
-        if int(self.repetitions) < 1:
+        object.__setattr__(self, "repetitions",
+                           _integer(self.repetitions, "repetitions"))
+        if self.repetitions < 1:
             raise DataError("repetitions must be at least 1")
-        object.__setattr__(self, "repetitions", int(self.repetitions))
-        object.__setattr__(self, "seed", int(self.seed))
-        object.__setattr__(self, "networks", tuple(str(p) for p in self.networks))
-        object.__setattr__(self, "datasets", tuple(str(p) for p in self.datasets))
-        fractions = tuple(float(f) for f in self.train_fractions)
-        if any(not 0.0 < f < 1.0 for f in fractions):
-            raise DataError("train fractions must lie strictly between 0 and 1")
-        object.__setattr__(self, "train_fractions", fractions)
+        object.__setattr__(self, "seed", _integer(self.seed, "seed"))
+        if self.seed < 0:
+            raise DataError("seed must be nonnegative")
+        for field in ("networks", "datasets"):
+            paths = _items(getattr(self, field), field)
+            if not all(isinstance(p, (str, os.PathLike)) for p in paths):
+                raise DataError(f"{field} must be file paths")
+            object.__setattr__(self, field, tuple(str(p) for p in paths))
+        fractions = _items(self.train_fractions, "train fractions")
+        if not all(isinstance(f, numbers.Real) and not isinstance(f, bool)
+                   and 0.0 < f < 1.0 for f in fractions):
+            raise DataError("train fractions must be numbers strictly between 0 "
+                            "and 1")
+        object.__setattr__(self, "train_fractions",
+                           tuple(float(f) for f in fractions))
 
     def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "criteria": list(self.criteria),
-            "sampleSizes": list(self.sample_sizes),
-            "repetitions": self.repetitions,
-            "seeds": self.seed,
-            "networks": list(self.networks),
-            "datasets": list(self.datasets),
-            "trainFractions": list(self.train_fractions),
-        }
+        values = {key: getattr(self, field) for key, field in _JSON_KEYS.items()}
+        return {key: list(v) if isinstance(v, tuple) else v
+                for key, v in values.items()}
+
+
+def _items(value, what: str) -> tuple:
+    if not isinstance(value, (list, tuple)):
+        raise DataError(f"{what} must be a list, got {value!r}")
+    return tuple(value)
+
+
+def _integer(value, what: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise DataError(f"{what} must be an integer, got {value!r}")
+    return int(value)
 
 
 _JSON_KEYS = {

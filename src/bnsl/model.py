@@ -53,7 +53,7 @@ class BayesianNetwork:
                     f"got {cpt.shape}")
             if (cpt < 0).any():
                 raise DataError(f"cpt of variable {i} has negative entries")
-            if np.abs(cpt.sum(axis=1) - 1.0).max() > CPT_ROW_TOL:
+            if not (np.abs(cpt.sum(axis=1) - 1.0) <= CPT_ROW_TOL).all():
                 raise DataError(f"cpt rows of variable {i} must sum to 1")
             cpt.setflags(write=False)
             cpts.append(cpt)
@@ -208,15 +208,21 @@ def _parse_network(path):
     except (KeyError, TypeError):
         raise DataError(f"{path}: network file needs 'variables' and "
                         f"'parents' fields") from None
+    if not isinstance(variables, list) or not isinstance(parents_by_name, dict):
+        raise DataError(f"{path}: 'variables' must be a list and 'parents' "
+                        f"an object")
     names = []
     arities = []
     for entry in variables:
         try:
             names.append(str(entry["name"]))
-            arities.append(int(entry["arity"]))
+            arity = entry["arity"]
         except (KeyError, TypeError):
             raise DataError(f"{path}: each variable needs a name and an "
                             f"arity") from None
+        if isinstance(arity, bool) or not isinstance(arity, int):
+            raise DataError(f"{path}: arity of {names[-1]} must be an integer")
+        arities.append(arity)
     if len(set(names)) != len(names):
         raise DataError(f"{path}: duplicate variable names")
     index = {nm: i for i, nm in enumerate(names)}
@@ -224,20 +230,22 @@ def _parse_network(path):
     for nm in names:
         if nm not in parents_by_name:
             raise DataError(f"{path}: no parent entry for variable {nm}")
-        ps = []
-        for p in parents_by_name[nm]:
-            if p not in index:
-                raise DataError(f"{path}: unknown parent {p!r} of {nm}")
-            ps.append(index[p])
-        parent_tuples.append(tuple(sorted(ps)))
+        ps = parents_by_name[nm]
+        if not (isinstance(ps, list)
+                and all(isinstance(p, str) and p in index for p in ps)):
+            raise DataError(f"{path}: parents of {nm} must be a list of "
+                            f"variable names, got {ps!r}")
+        parent_tuples.append(tuple(sorted(index[p] for p in ps)))
     g = DagStructure(len(names), tuple(parent_tuples), tuple(names))
     cpts = None
     if "cpts" in doc:
         cpts = []
-        for i, nm in enumerate(names):
-            if nm not in doc["cpts"]:
-                raise DataError(f"{path}: cpts present but missing for {nm}")
-            cpts.append(np.asarray(doc["cpts"][nm], dtype=np.float64))
+        for nm in names:
+            try:
+                cpts.append(np.asarray(doc["cpts"][nm], dtype=np.float64))
+            except (KeyError, TypeError, ValueError):
+                raise DataError(f"{path}: cpts present but no matrix of "
+                                f"numbers for {nm}") from None
     return g, tuple(arities), cpts
 
 

@@ -3,13 +3,14 @@
 Covers validation and topological ordering, covered-arc tests and reversal,
 conversion to the equivalence-class pattern (CPDAG) via v-structure
 orientation plus Meek's orientation-propagation rules 1-3, structural Hamming
-distance between patterns, connected components, tournament-component
-detection and counting, exhaustive DAG enumeration for small n, and a
-brute-force NML evaluator used as a test oracle.
+distance between patterns, tournament-component detection and counting,
+exhaustive DAG enumeration for small n, and a brute-force NML evaluator used
+as a test oracle.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -123,99 +124,53 @@ class Cpdag:
             raise DataError("an edge cannot be both directed and undirected")
 
 
-def _apply_orientation_rules(n: int, arc: np.ndarray) -> None:
-    """Propagate compelled orientations to a fixpoint, in place.
-
-    arc[u, v] and arc[v, u] both set means an undirected edge; only
-    arc[u, v] means u -> v. The three rules:
-
-      1: a -> b, b - c, a and c nonadjacent        => b -> c
-      2: a -> b -> c, a - c                        => a -> c
-      3: a - b, a - c, a - d, c -> b, d -> b,
-         c and d nonadjacent                       => a -> b
-
-    Starting from a DAG's skeleton with its v-structures oriented, these
-    three are complete (Meek, UAI 1995); Meek's fourth rule is needed only
-    with background knowledge, which to_cpdag never has.
-    """
-
-    def adjacent(u, v):
-        return arc[u, v] or arc[v, u]
-
-    def undirected(u, v):
-        return arc[u, v] and arc[v, u]
-
-    def orient(u, v):
-        arc[v, u] = False
-
-    changed = True
-    while changed:
-        changed = False
-        for a in range(n):
-            for b in range(n):
-                if a == b or not arc[a, b] or arc[b, a]:
-                    continue
-                # a -> b is directed here
-                for c in range(n):
-                    if c in (a, b):
-                        continue
-                    if undirected(b, c) and not adjacent(a, c):
-                        orient(b, c)
-                        changed = True
-        for a in range(n):
-            for c in range(n):
-                if a == c or not undirected(a, c):
-                    continue
-                for b in range(n):
-                    if b in (a, c):
-                        continue
-                    if arc[a, b] and not arc[b, a] and arc[b, c] and not arc[c, b]:
-                        orient(a, c)
-                        changed = True
-                        break
-        for a in range(n):
-            for b in range(n):
-                if a == b or not undirected(a, b):
-                    continue
-                into_b = [c for c in range(n)
-                          if c not in (a, b) and arc[c, b] and not arc[b, c]
-                          and undirected(a, c)]
-                if any(not adjacent(c, d)
-                       for i, c in enumerate(into_b) for d in into_b[i + 1:]):
-                    orient(a, b)
-                    changed = True
+def _neighbors(g: DagStructure) -> list[set[int]]:
+    """The skeleton of g: the set of adjacent nodes of each node."""
+    adj = [set(ps) for ps in g.parents]
+    for child, ps in enumerate(g.parents):
+        for p in ps:
+            adj[p].add(child)
+    return adj
 
 
 def to_cpdag(g: DagStructure) -> Cpdag:
     """Pattern of g's equivalence class.
 
     Starts from the skeleton with only the v-structure arcs directed, then
-    closes under the orientation rules.
+    orients an undirected edge x - y as x -> y while one of these holds:
+
+      1: a -> x for some a nonadjacent to y
+      2: x -> b -> y for some b
+      3: c -> y <- d for some c - x - d with c and d nonadjacent
+
+    Starting from a DAG's skeleton with its v-structures oriented, these
+    three rules are complete (Meek, UAI 1995); Meek's fourth rule is needed
+    only with background knowledge, which to_cpdag never has.
     """
     n = g.n
-    arc = np.zeros((n, n), dtype=bool)
+    adj = _neighbors(g)
+    pa = [set() for _ in range(n)]  # directed parents
     for child, ps in enumerate(g.parents):
-        for p in ps:
-            arc[p, child] = True
-            arc[child, p] = True
-    for child, ps in enumerate(g.parents):
-        for i, a in enumerate(ps):
-            for b in ps[i + 1:]:
-                if not g.adjacent(a, b):
-                    arc[child, a] = False
-                    arc[child, b] = False
-    _apply_orientation_rules(n, arc)
-    directed = set()
-    undirected = set()
-    for u in range(n):
-        for v in range(u + 1, n):
-            if arc[u, v] and arc[v, u]:
-                undirected.add((u, v))
-            elif arc[u, v]:
-                directed.add((u, v))
-            elif arc[v, u]:
-                directed.add((v, u))
-    return Cpdag(n, frozenset(directed), frozenset(undirected))
+        for a, b in itertools.combinations(ps, 2):
+            if b not in adj[a]:
+                pa[child] |= {a, b}
+    ne = [{u for u in adj[v] - pa[v] if v not in pa[u]} for v in range(n)]
+    changed = True
+    while changed:
+        changed = False
+        for x in range(n):
+            for y in sorted(ne[x]):
+                if (any(a not in adj[y] for a in pa[x])
+                        or any(x in pa[b] for b in pa[y])
+                        or any(d not in adj[c] for c, d in
+                               itertools.combinations(ne[x] & pa[y], 2))):
+                    ne[x].discard(y)
+                    ne[y].discard(x)
+                    pa[y].add(x)
+                    changed = True
+    directed = frozenset((p, v) for v in range(n) for p in pa[v])
+    undirected = frozenset((u, v) for u in range(n) for v in ne[u] if u < v)
+    return Cpdag(n, directed, undirected)
 
 
 def _pair_status(p: Cpdag):
@@ -243,76 +198,31 @@ def shd(g1: DagStructure, g2: DagStructure) -> int:
     return cpdag_shd(to_cpdag(g1), to_cpdag(g2))
 
 
-def connected_components(g: DagStructure) -> tuple[tuple[int, ...], ...]:
-    """Connected components of the skeleton, each sorted, ordered by minimum."""
-    seen: set[int] = set()
-    comps = []
-    neighbors = [set() for _ in range(g.n)]
-    for child, ps in enumerate(g.parents):
-        for p in ps:
-            neighbors[child].add(p)
-            neighbors[p].add(child)
-    for start in range(g.n):
-        if start in seen:
-            continue
-        stack = [start]
-        comp = set()
-        while stack:
-            v = stack.pop()
-            if v in comp:
-                continue
-            comp.add(v)
-            stack.extend(neighbors[v] - comp)
-        seen |= comp
-        comps.append(tuple(sorted(comp)))
-    return tuple(comps)
-
-
 def is_tournament_component_dag(g: DagStructure) -> bool:
-    """True when every connected component induces a complete (tournament) DAG."""
-    for comp in connected_components(g):
-        for i, u in enumerate(comp):
-            for v in comp[i + 1:]:
-                if not g.adjacent(u, v):
-                    return False
-    return True
+    """True when every connected component induces a complete (tournament) DAG.
 
-
-def _partitions(n: int):
-    """Integer partitions of n as nonincreasing tuples."""
-
-    def rec(remaining, maximum):
-        if remaining == 0:
-            yield ()
-            return
-        for part in range(min(remaining, maximum), 0, -1):
-            for rest in rec(remaining - part, part):
-                yield (part,) + rest
-
-    yield from rec(n, n)
+    That holds exactly when any two neighbors of a node are adjacent.
+    """
+    adj = _neighbors(g)
+    return all(b in adj[a]
+               for nb in adj for a, b in itertools.combinations(nb, 2))
 
 
 def count_tournament_component_dags(n: int) -> int:
     """Number of labeled DAGs on n nodes whose components are all tournaments.
 
     Components are linear orders on their node sets, so the count is the
-    number of ways to partition n labeled items into a set of sequences:
-    sum over integer partitions of n! / prod(multiplicity factorials).
+    number of ways to partition n labeled items into a set of nonempty
+    sequences: the sum over k of the Lah numbers C(n-1, k-1) n! / k!.
     """
     if not 0 <= n <= COUNT_MAX_NODES:
         raise ResourceLimitError(
             f"tournament-component count supported for 0 <= n <= "
             f"{COUNT_MAX_NODES}, got {n}")
-    total = 0
-    for part in _partitions(n):
-        mult: dict[int, int] = {}
-        for p in part:
-            mult[p] = mult.get(p, 0) + 1
-        denom = 1
-        for m in mult.values():
-            denom *= math.factorial(m)
-        total += math.factorial(n) // denom
-    return total
+    if n == 0:
+        return 1
+    return sum(math.comb(n - 1, k - 1) * (math.factorial(n) // math.factorial(k))
+               for k in range(1, n + 1))
 
 
 @lru_cache(maxsize=None)

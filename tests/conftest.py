@@ -9,7 +9,7 @@ import pytest
 from hypothesis import settings
 
 from bnsl.dataset import Dataset
-from bnsl.structure import DagStructure, topological_order
+from bnsl.structure import DagStructure
 
 settings.register_profile("suite", deadline=None, max_examples=40)
 settings.load_profile("suite")

@@ -272,5 +272,13 @@ def test_bench_rejects_unknown_spec():
 
 def test_bench_bad_spec_file(tmp_path):
     spec_path = tmp_path / "spec.json"
-    spec_path.write_text('{"kind": "shd-curve", "wat": 1}')
-    assert run_cli("bench", "--spec", spec_path).returncode == 2
+    for doc in ('{"kind": "shd-curve", "wat": 1}',
+                '{"repetitions": "x"}',
+                '{"repetitions": 2.7}',
+                '{"sampleSizes": 5}',
+                '{"seeds": "a"}',
+                '{"seeds": -1}',
+                '{"networks": 5}',
+                '{"trainFractions": ["a"]}'):
+        spec_path.write_text(doc)
+        assert run_cli("bench", "--spec", spec_path).returncode == 2, doc

@@ -288,6 +288,17 @@ def test_load_rejects_malformed_files(tmp_path):
         {"variables": ok_vars, "parents": {"A": []}},  # no entry for B
         {"variables": ok_vars, "parents": {"A": [], "B": ["Z"]}},
         {"variables": ok_vars + ok_vars[:1], "parents": {"A": [], "B": []}},
+        {"variables": 5, "parents": {}},
+        {"variables": [{"name": "A", "arity": "x"}], "parents": {"A": []}},
+        {"variables": [{"name": "A", "arity": 2.5}], "parents": {"A": []}},
+        {"variables": ok_vars, "parents": ["A", "B"]},
+        {"variables": ok_vars, "parents": {"A": [], "B": 5}},
+        {"variables": ok_vars, "parents": {"A": [], "B": [["A"]]}},
+        {"variables": ok_vars, "parents": {"A": [], "B": []}, "cpts": 5},
+        {"variables": ok_vars[:1], "parents": {"A": []},
+         "cpts": {"A": [[0.5, 0.5], [1.0]]}},  # ragged
+        {"variables": ok_vars[:1], "parents": {"A": []},
+         "cpts": {"A": [["a", "b"]]}},
     ]
     for doc in cases:
         with pytest.raises(DataError):
@@ -303,6 +314,9 @@ def test_load_validates_cpts(tmp_path):
     with pytest.raises(DataError):
         load_network(write_doc(tmp_path, doc))
     doc["cpts"] = {}
+    with pytest.raises(DataError):
+        load_network(write_doc(tmp_path, doc))
+    doc["cpts"] = {"A": [[None, 1.0]]}  # null reads as NaN
     with pytest.raises(DataError):
         load_network(write_doc(tmp_path, doc))
 

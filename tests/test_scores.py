@@ -7,7 +7,6 @@ shared bug in the library's vectorized path cannot hide.
 
 import math
 from collections import Counter
-from itertools import product
 
 import numpy as np
 import pytest

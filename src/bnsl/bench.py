@@ -18,7 +18,6 @@ from importlib import resources
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .dataset import Dataset, load_dataset
@@ -337,6 +336,8 @@ def run_experiment(spec: ExperimentSpec, out_dir: str) -> dict:
     with open(csv_path, "w", encoding="utf-8", newline="") as fh:
         csv.writer(fh, lineterminator="\n").writerows(rows)
 
+    # imported here, not at the top, so that `import bnsl` does not load scipy
+    import scipy
     manifest = {
         "kind": spec.kind,
         "spec": spec.to_json_dict(),

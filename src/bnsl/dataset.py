@@ -9,10 +9,10 @@ is value(p1) * arity(p2) + value(p2).
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import xlogy
 
 from .errors import DataError, ResourceLimitError
 
@@ -206,13 +206,47 @@ def contingency(data: Dataset, child: int, parents) -> np.ndarray:
     return np.zeros((q, r), dtype=np.int64)
 
 
+# k ln k at index k, grown on demand and never shrunk. Each entry is
+# float(k) * math.log(k), libm's log, which is what scipy.special.xlogy(k, k)
+# computes, so the scores match it bit for bit. k * np.log(k) is not a
+# substitute: numpy's SIMD log rounds differently (95 of the k <= 2 * 10**6
+# with numpy 2.4 on an AVX-512 x86-64 CPU).
+_xlogx = np.zeros(1)
+
+
+def _xlogx_table(max_count: int) -> np.ndarray:
+    """The k ln k table, first grown to cover 0..max_count if it falls short."""
+    global _xlogx
+    table = _xlogx
+    if max_count >= len(table):
+        # doubling past the largest count so far keeps regrowth rare while
+        # the table stays O(largest count) long
+        size = 2 * (max_count + 1)
+        grown = np.empty(size)
+        grown[:len(table)] = table
+        grown[len(table):] = [float(k) * math.log(k)
+                              for k in range(len(table), size)]
+        _xlogx = table = grown
+    return table
+
+
 def counts_loglik(counts) -> float:
     """Maximized conditional log-likelihood of a q x r contingency array.
 
-    Equals sum_jk N_jk ln(N_jk / N_j) with 0 ln 0 = 0; always <= 0.
+    Equals sum_jk N_jk ln(N_jk / N_j) with 0 ln 0 = 0; always <= 0. Counts
+    may be any integer array, or floats holding whole numbers.
     """
+    counts = np.asarray(counts)
+    if counts.dtype.kind not in "iu":
+        values = counts.astype(np.float64)
+        if not (np.isfinite(values).all() and (values == np.floor(values)).all()):
+            raise DataError("counts must be whole numbers")
+        counts = values.astype(np.int64)
+    if counts.min(initial=0) < 0:
+        raise DataError("counts must be nonnegative")
     totals = counts.sum(axis=1)
-    raw = float(xlogy(counts, counts).sum() - xlogy(totals, totals).sum())
+    xlogx = _xlogx_table(int(totals.max(initial=0)))
+    raw = float(xlogx[counts].sum() - xlogx[totals].sum())
     return min(0.0, raw)
 
 

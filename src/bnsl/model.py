@@ -162,6 +162,8 @@ def sample(net: BayesianNetwork, n_rows: int, seed: int) -> Dataset:
     """
     if n_rows < 0:
         raise DataError("sample size must be nonnegative")
+    if seed < 0:
+        raise DataError("seed must be nonnegative")
     rng = np.random.default_rng(seed)
     g = net.structure
     rows = np.zeros((n_rows, g.n), dtype=np.int64)

@@ -14,11 +14,9 @@ for r = 1, where the code has nothing to normalize.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln, logsumexp, xlogy
 
 from .errors import DataError, ResourceLimitError
 
@@ -55,6 +53,7 @@ def regret_exact(n: int, r: int) -> float:
     _check_args(n, r)
     if n == 0 or r == 1:
         return 0.0
+    from scipy.special import gammaln, logsumexp
     l = np.arange(n, dtype=np.float64)
     log_terms = (gammaln(n) - gammaln(n - l)
                  + gammaln(r + l + 1.0) - gammaln(r)
@@ -107,6 +106,7 @@ def regret_bruteforce_oracle(n: int, r: int) -> float:
         raise ResourceLimitError(
             f"{r}**{n} sequences exceed the enumeration guard of "
             f"{BRUTEFORCE_LIMIT}")
+    from scipy.special import logsumexp, xlogy
     radix = r ** np.arange(n - 1, -1, -1, dtype=np.int64)
     log_n = math.log(n)
     partials = []
@@ -135,11 +135,7 @@ def regret(n: int, r: int, method: str = "exact") -> float:
 
 @dataclass
 class RegretCache:
-    """Memoized regret lookups for one method.
-
-    Values are pure functions of the key, so concurrent double-computation
-    is benign: the last writer wins with an identical value.
-    """
+    """Memoized regret lookups for one method."""
 
     method: str = "szp-all-range"
     memo: dict = field(default_factory=dict)
@@ -157,14 +153,12 @@ class RegretCache:
 
 
 _shared: dict[str, RegretCache] = {}
-_shared_lock = threading.Lock()
 
 
 def shared_cache(method: str) -> RegretCache:
     """Process-wide cache per method, shared across scorers."""
     method = canonical_method(method)
-    with _shared_lock:
-        cache = _shared.get(method)
-        if cache is None:
-            cache = _shared[method] = RegretCache(method)
-        return cache
+    cache = _shared.get(method)
+    if cache is None:
+        cache = _shared[method] = RegretCache(method)
+    return cache

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .dataset import Dataset, contingency, counts_loglik
 from .errors import DataError
@@ -39,8 +38,10 @@ class ScoreConfig:
         if self.criterion not in CRITERIA:
             raise DataError(f"unknown criterion {self.criterion!r}; "
                             f"expected one of {', '.join(CRITERIA)}")
-        if self.bdeu_alpha <= 0.0 or self.bdq_alpha <= 0.0:
-            raise DataError("Dirichlet hyperparameters must be positive")
+        for alpha in (self.bdeu_alpha, self.bdq_alpha):
+            if not (alpha > 0.0 and math.isfinite(alpha)):
+                raise DataError("Dirichlet hyperparameters must be positive "
+                                "and finite")
         object.__setattr__(self, "regret_method",
                            canonical_method(self.regret_method))
 
@@ -58,6 +59,9 @@ def bic_local(counts: np.ndarray, n_rows: int, cfg: ScoreConfig,
 def bdeu_local(counts: np.ndarray, n_rows: int, cfg: ScoreConfig,
                cache: RegretCache) -> float:
     """BDeu marginal likelihood with equivalent sample size cfg.bdeu_alpha."""
+    # scipy's gammaln, not math.lgamma: the two round differently, and the
+    # pinned scores depend on its rounding
+    from scipy.special import gammaln
     a_j = cfg.bdeu_alpha / counts.shape[0]
     a_jk = cfg.bdeu_alpha / counts.size
     # unobserved configurations contribute exactly 0 to both sums
@@ -104,6 +108,7 @@ def bdq_local(counts: np.ndarray, n_rows: int, cfg: ScoreConfig,
 
 
 def _collapsed_marginal(counts, m: int, n_rows: int, alpha: float) -> float:
+    from scipy.special import gammaln
     score = gammaln(m * alpha) - gammaln(m * alpha + n_rows)
     score += (gammaln(alpha + counts) - gammaln(alpha)).sum()
     return float(score)

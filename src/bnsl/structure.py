@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import logsumexp, xlogy
 
 from .dataset import Dataset, config_indices, contingency, counts_loglik
 from .errors import DataError, ResourceLimitError
@@ -310,6 +309,7 @@ def _nml_log_normalizer(arities: tuple[int, ...], parents: tuple[tuple[int, ...]
     if total > NML_BRUTEFORCE_LIMIT:
         raise ResourceLimitError(
             f"{m}**{n_rows} candidate datasets exceed the enumeration guard")
+    from scipy.special import logsumexp, xlogy
     # decode every joint cell into per-variable values once
     cells = np.arange(m, dtype=np.int64)
     values = np.empty((m, n), dtype=np.int64)

@@ -115,6 +115,11 @@ def test_score_alpha_only_fits_bayesian_criteria(data_path):
     bad = run_cli("score", "--data", data_path, "--network", net,
                   "--criterion", "qnml", "--alpha", 2.0)
     assert bad.returncode == 1
+    for criterion, alpha in (("bdeu", "nan"), ("bdq", "inf")):
+        bad = run_cli("learn", "--data", data_path, "--criterion", criterion,
+                      "--alpha", alpha)
+        assert bad.returncode == 2
+        assert "hyperparameters" in bad.stderr
 
 
 def test_score_missing_file_is_a_data_error(data_path):
@@ -183,6 +188,13 @@ def test_sample_rejects_negative_n():
     proc = run_cli("sample", "--model", bundled_path("chain5.json"),
                    "--n", -3)
     assert proc.returncode == 1
+
+
+def test_sample_rejects_negative_seed():
+    proc = run_cli("sample", "--model", bundled_path("chain5.json"),
+                   "--n", 5, "--seed", -1)
+    assert proc.returncode == 2
+    assert "seed must be nonnegative" in proc.stderr
 
 
 def test_sample_needs_cpts(tmp_path, data_path):

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.special import xlogy
 
+from bnsl import dataset
 from bnsl.dataset import (Dataset, config_index, config_indices, contingency,
                           counts_loglik, empirical_cond_entropy, load_dataset,
                           load_datasets_shared, write_dataset)
@@ -168,6 +170,36 @@ def test_counts_loglik_hand_value():
     # all mass on one cell: exactly zero, not a tiny negative
     counts = np.array([[5.0, 0.0]])
     assert counts_loglik(counts) == 0.0
+
+
+def test_counts_loglik_is_bit_identical_to_xlogy(monkeypatch):
+    # the k ln k table replaced scipy's xlogy; the scores, and so the
+    # learned networks, depend on every bit of it
+    monkeypatch.setattr(dataset, "_xlogx", np.zeros(1))
+    rng = np.random.default_rng(7)
+    largest = 0
+    # small maxima first, so the table grows several times; 60 last reads
+    # a table grown far past it
+    for top in (1, 3, 40, 700, 10 ** 4, 10 ** 5, 60):
+        for _ in range(5):
+            q, r = (int(v) for v in rng.integers(1, 9, 2))
+            counts = rng.integers(0, top + 1, (q, r))
+            totals = counts.sum(axis=1)
+            old = xlogy(counts, counts).sum() - xlogy(totals, totals).sum()
+            assert counts_loglik(counts) == min(0.0, float(old))
+            largest = max(largest, int(totals.max()))
+            assert largest < len(dataset._xlogx) <= 2 * (largest + 1)
+    # numpy's own log misses xlogy at k = 9170 and 19143, among others
+    k = np.arange(len(dataset._xlogx))
+    assert np.array_equal(dataset._xlogx, xlogy(k, k))
+    assert counts_loglik(np.array([[9170, 19143]])) == (
+        xlogy(9170, 9170) + xlogy(19143, 19143) - xlogy(28313, 28313))
+    assert counts_loglik(np.zeros((4, 3), dtype=np.int64)) == 0.0
+    whole = np.array([[3.0, 1.0], [0.0, 7.0]])
+    assert counts_loglik(whole) == counts_loglik(whole.astype(np.int64))
+    for bad in ([[1.5, 2.0]], [[np.nan, 1.0]], [[np.inf, 1.0]], [[-1, 2]]):
+        with pytest.raises(DataError):
+            counts_loglik(np.array(bad))
 
 
 def test_empirical_cond_entropy(rng):

@@ -213,6 +213,8 @@ def test_sample_zero_rows():
     assert d.n_rows == 0 and d.n_vars == 2
     with pytest.raises(DataError):
         sample(chain_net(), -1, seed=0)
+    with pytest.raises(DataError):
+        sample(chain_net(), 5, seed=-1)
 
 
 def test_sample_respects_deterministic_cpts():

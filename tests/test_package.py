@@ -1,6 +1,9 @@
 """The package's export list and import hygiene."""
 
 import ast
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import bnsl
@@ -37,3 +40,41 @@ def test_no_unused_top_level_imports():
              if p.name != "__init__.py"] + sorted(root.glob("*.py"))
     assert files
     assert [hit for p in files for hit in _unused_imports(p)] == []
+
+
+# Runs each command in one fresh interpreter, in order, and records its exit
+# code and whether scipy was loaded once it returned. The commands that need
+# scipy come last, since a module stays loaded once imported.
+_IMPORT_PROBE = """
+import contextlib, io, json, sys
+import bnsl
+seen = {"import bnsl": [0, "scipy" in sys.modules]}
+from bnsl.bench import bundled_path
+from bnsl.cli import main
+csv, net = bundled_path("web8_n500.csv"), bundled_path("web8.json")
+learn = ["learn", "--data", csv, "--criterion"]
+runs = {"learn bic": learn + ["bic"], "learn fnml": learn + ["fnml"],
+        "learn qnml": learn + ["qnml"],
+        "score": ["score", "--data", csv, "--network", net],
+        "sample": ["sample", "--model", net, "--n", "20"],
+        "learn bdeu": learn + ["bdeu"], "learn bdq": learn + ["bdq"],
+        "learn fnml exact": learn + ["fnml", "--regret", "exact"]}
+for name, argv in runs.items():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+        code = main(argv)
+    seen[name] = [code, "scipy" in sys.modules]
+print(json.dumps(seen))
+"""
+
+
+def test_default_learn_path_does_not_load_scipy():
+    # scipy.special is most of the import time of a one-shot `bnsl learn`;
+    # only bdeu, bdq, exact regret and the brute-force oracles need it
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE],
+                          capture_output=True, text=True, check=True)
+    seen = json.loads(proc.stdout.splitlines()[-1])
+    assert {name: code for name, (code, _) in seen.items()} == dict.fromkeys(
+        seen, 0)
+    scipy_loaded = [name for name, (_, loaded) in seen.items() if loaded]
+    assert scipy_loaded == ["learn bdeu", "learn bdq", "learn fnml exact"]

@@ -44,10 +44,11 @@ def test_config_validation():
     assert ScoreConfig(regret_method="szp2").regret_method == "szp-all-range"
     with pytest.raises(DataError):
         ScoreConfig(criterion="aic")
-    with pytest.raises(DataError):
-        ScoreConfig(bdeu_alpha=0.0)
-    with pytest.raises(DataError):
-        ScoreConfig(bdq_alpha=-1.0)
+    for bad in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(DataError):
+            ScoreConfig(bdeu_alpha=bad)
+        with pytest.raises(DataError):
+            ScoreConfig(bdq_alpha=bad)
     with pytest.raises(DataError):
         ScoreConfig(regret_method="simpson")
 

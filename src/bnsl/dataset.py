@@ -244,7 +244,11 @@ def counts_loglik(counts) -> float:
         counts = values.astype(np.int64)
     if counts.min(initial=0) < 0:
         raise DataError("counts must be nonnegative")
-    totals = counts.sum(axis=1)
+    return _loglik(counts, counts.sum(axis=1))
+
+
+def _loglik(counts: np.ndarray, totals: np.ndarray) -> float:
+    """counts_loglik of a checked count array and its row totals."""
     xlogx = _xlogx_table(int(totals.max(initial=0)))
     raw = float(xlogx[counts].sum() - xlogx[totals].sum())
     return min(0.0, raw)

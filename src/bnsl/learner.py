@@ -6,9 +6,8 @@ candidate set, then a best-sink sweep over subsets of all variables with
 backtracking. Finds a provably score-optimal network for any decomposable
 criterion; complexity is O(n 2^n) table entries, which caps n at 20.
 
-Ties are broken deterministically: among equal-scoring parent sets the
-smaller cardinality wins, then the lexicographically smallest bitmask;
-among equal-scoring sinks, the smallest variable index.
+The two search stages keep scores only; ties are resolved once, during
+backtracking (see _search).
 """
 
 from __future__ import annotations
@@ -89,63 +88,68 @@ def _expand_mask(mask: int, child: int) -> int:
     return ((mask >> child) << (child + 1)) | (mask & ((1 << child) - 1))
 
 
-def _popcount(size: int) -> np.ndarray:
-    return np.array([m.bit_count() for m in range(size)], dtype=np.int8)
+def _best_parents(scores: np.ndarray) -> np.ndarray:
+    """For every child (row) and candidate set C, the best score of a subset.
 
-
-def _best_parents(scores: np.ndarray):
-    """For every child (row) and candidate set C, the best parent subset of C.
-
-    Subset-lattice sweep over all children at once: start each candidate
-    set with its own score, then fold in the best of each one-smaller
-    subset, one bit at a time. The comparison key (score desc, cardinality
-    asc, bitmask asc) is a total order, so any fold order yields the same
-    winner.
+    A max-zeta transform over the subset lattice, all children at once:
+    start each candidate set with its own score, then fold in the best of
+    each one-smaller subset, one bit at a time. max is exact, so every
+    result is bitwise equal to one entry of its row.
     """
     rows, size = scores.shape
     best = scores.copy()
-    # compressed masks stay below 2^(MAX_VARS - 1), so int32 holds them
-    chosen = np.tile(np.arange(size, dtype=np.int32), (rows, 1))
-    card = np.tile(_popcount(size), (rows, 1))
     for b in range(size.bit_length() - 1):
-        # axis 2 of these views pairs every candidate set without bit b
-        # (index 0) with the same set plus bit b (index 1)
-        views = [a.reshape(rows, -1, 2, 1 << b) for a in (best, chosen, card)]
-        (cand_score, cur_score), (cand_set, cur_set), (cand_card, cur_card) = (
-            (v[:, :, 0], v[:, :, 1]) for v in views)
-        take = (cand_score > cur_score) | (
-            (cand_score == cur_score)
-            & ((cand_card < cur_card)
-               | ((cand_card == cur_card) & (cand_set < cur_set))))
-        for v in views:
-            np.copyto(v[:, :, 1], v[:, :, 0], where=take)
-    return best, chosen
+        # axis 2 pairs every candidate set without bit b (index 0) with the
+        # same set plus bit b (index 1)
+        v = best.reshape(rows, -1, 2, 1 << b)
+        np.maximum(v[:, :, 0], v[:, :, 1], out=v[:, :, 1])
+    return best
 
 
-def _best_sinks(best_score: np.ndarray):
-    """Best network score and sink of every variable subset w.
+def _best_sinks(best_score: np.ndarray, popcount: np.ndarray) -> np.ndarray:
+    """Best network score of every variable subset w.
 
     Subsets are swept one popcount layer at a time, so every subset one
-    smaller is final before w is scored. Among equal scores the first
-    maximum, i.e. the smallest sink index, wins, exactly as a loop over
-    sinks in ascending order with a strict improvement would choose.
+    smaller is final before w is scored.
     """
     n = best_score.shape[0]
-    popcount = _popcount(1 << n)
     sinks = np.arange(n)[:, None]
     best = np.zeros(1 << n)
-    sink = np.full(1 << n, -1, dtype=np.int64)
     for k in range(1, n + 1):
         layer = np.flatnonzero(popcount == k)
         # row s: w without sink s, meaningful only where s is in w
         rest = layer ^ (1 << sinks)
-        value = np.where(rest < layer, best[rest] + best_score[
-            sinks, _compress_mask(rest, sinks)], -np.inf)
-        sink[layer] = value.argmax(axis=0)
-        best[layer] = value.max(axis=0)
-        if not (best[layer] > -np.inf).all():
-            raise DataError("subset sweep failed to place a sink")
-    return best, sink
+        best[layer] = np.where(rest < layer, best[rest] + best_score[
+            sinks, _compress_mask(rest, sinks)], -np.inf).max(axis=0)
+    return best
+
+
+def _search(scores: np.ndarray) -> list[tuple[int, int, float]]:
+    """(sink, parent mask, local score) of an optimal network, last sink first.
+
+    Ties are broken here, once per variable: the smallest sink whose sum
+    (the sweep's own float addition) reaches the subset's best, then the
+    parent subset of smallest cardinality, then smallest mask, whose score
+    equals the fold's best exactly.
+    """
+    n = scores.shape[0]
+    popcount = np.zeros(1 << n, dtype=np.int8)
+    for b in range(n):
+        popcount[1 << b:2 << b] = popcount[:1 << b] + 1
+    best_score = _best_parents(scores)
+    best = _best_sinks(best_score, popcount)
+    picks = []
+    w = (1 << n) - 1
+    while w:
+        s = next(s for s in range(n) if w >> s & 1 and best[w ^ 1 << s]
+                 + best_score[s, _compress_mask(w ^ 1 << s, s)] == best[w])
+        w ^= 1 << s
+        cm = _compress_mask(w, s)
+        hits = np.flatnonzero(scores[s] == best_score[s, cm])
+        hits = hits[(hits & ~cm) == 0]
+        m = int(hits[popcount[hits].argmin()])
+        picks.append((s, _expand_mask(m, s), float(best_score[s, cm])))
+    return picks
 
 
 def learn_exact(data: Dataset, cfg: ScoreConfig,
@@ -154,18 +158,11 @@ def learn_exact(data: Dataset, cfg: ScoreConfig,
     start = time.perf_counter()
     n = data.n_vars
     table = compute_local_scores(data, cfg, max_parents)
-    best_score, best_set = _best_parents(table.scores)
-    _, sink = _best_sinks(best_score)
     parents = [()] * n
     per = [0.0] * n
-    w = (1 << n) - 1
-    while w:
-        s = int(sink[w])
-        rest = w ^ (1 << s)
-        cm = _compress_mask(rest, s)
-        parents[s] = mask_to_parents(_expand_mask(int(best_set[s, cm]), s))
-        per[s] = float(best_score[s, cm])
-        w = rest
+    for s, mask, score in _search(table.scores):
+        parents[s] = mask_to_parents(mask)
+        per[s] = score
     g = DagStructure(n, tuple(parents), data.names)
     return LearnResult(g, float(sum(per)), tuple(per),
                        time.perf_counter() - start)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset, contingency, counts_loglik
+from .dataset import Dataset, _loglik, contingency, counts_loglik
 from .errors import DataError
 from .regret import RegretCache, canonical_method, shared_cache
 from .structure import DagStructure
@@ -74,11 +74,12 @@ def fnml_local(counts: np.ndarray, n_rows: int, cfg: ScoreConfig,
                cache: RegretCache) -> float:
     """Factorized NML: per observed parent configuration, regret of its slice."""
     r = counts.shape[1]
+    totals = counts.sum(axis=1)
     penalty = 0.0
-    for n_j in counts.sum(axis=1):
+    for n_j in totals:
         if n_j > 0:
             penalty += cache.get(int(n_j), r)
-    return counts_loglik(counts) - penalty
+    return _loglik(counts, totals) - penalty
 
 
 def qnml_local(counts: np.ndarray, n_rows: int, cfg: ScoreConfig,
@@ -122,11 +123,19 @@ CRITERIA = tuple(_LOCAL)
 
 def local_score(data: Dataset, child: int, parents, cfg: ScoreConfig,
                 cache: RegretCache | None = None) -> float:
-    """Local score of one (child, parent set) family on the dataset."""
+    """Local score of one (child, parent set) family on the dataset.
+
+    A score that is not finite, e.g. from a gamma function overflowing at a
+    tiny Dirichlet hyperparameter, is a DataError.
+    """
     if cache is None:
         cache = shared_cache(cfg.regret_method)
-    return _LOCAL[cfg.criterion](contingency(data, child, parents),
-                                 data.n_rows, cfg, cache)
+    score = _LOCAL[cfg.criterion](contingency(data, child, parents),
+                                  data.n_rows, cfg, cache)
+    if not math.isfinite(score):
+        raise DataError(f"{cfg.criterion} local score of "
+                        f"{data.names[child]!r} is {score}, not finite")
+    return score
 
 
 def per_variable_scores(data: Dataset, g: DagStructure, cfg: ScoreConfig,

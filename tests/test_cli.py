@@ -120,6 +120,17 @@ def test_score_alpha_only_fits_bayesian_criteria(data_path):
                       "--alpha", alpha)
         assert bad.returncode == 2
         assert "hyperparameters" in bad.stderr
+    # a tiny alpha passes the check but overflows gammaln: nan at 1e-310,
+    # -inf at 1e-308; 1e-305 still scores finitely
+    for command, alpha, code in (("score", "1e-310", 2), ("learn", "1e-308", 2),
+                                 ("learn", "1e-305", 0)):
+        extra = ("--network", net) if command == "score" else ()
+        proc = run_cli(command, "--data", data_path, *extra,
+                       "--criterion", "bdeu", "--alpha", alpha)
+        assert proc.returncode == code
+        if code:
+            assert "bdeu local score" in proc.stderr
+            assert "not finite" in proc.stderr
 
 
 def test_score_missing_file_is_a_data_error(data_path):

@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 from bnsl.dataset import Dataset
 from bnsl.errors import ResourceLimitError
 from bnsl.learner import (_best_parents, _best_sinks, _compress_mask,
-                          compute_local_scores, learn_bruteforce, learn_exact)
+                          _expand_mask, _search, compute_local_scores,
+                          learn_bruteforce, learn_exact)
 from bnsl.scores import CRITERIA, ScoreConfig, local_score, total_score
 
 from conftest import random_dataset
@@ -147,16 +148,25 @@ def test_vectorized_sweeps_match_reference_loops(ties):
             scores = rng.normal(size=shape)
         # cap the parent sets like compute_local_scores does
         cap = int(rng.integers(0, n))
-        popcount = np.array([bin(m).count("1") for m in range(shape[1])])
-        scores[:, popcount > cap] = -np.inf
-        best_score, best_set = _best_parents(scores)
+        popcount = np.array([bin(m).count("1") for m in range(1 << n)],
+                            dtype=np.int8)
+        scores[:, popcount[:shape[1]] > cap] = -np.inf
         ref_score, ref_set = _reference_best_parents(scores)
+        best_score = _best_parents(scores)
         assert np.array_equal(best_score, ref_score)
-        assert np.array_equal(best_set, ref_set)
-        best, sink = _best_sinks(best_score)
-        ref_best, ref_sink = _reference_sinks(best_score)
-        assert np.array_equal(best, ref_best)
-        assert np.array_equal(sink, ref_sink)
+        ref_best, ref_sink = _reference_sinks(ref_score)
+        assert np.array_equal(_best_sinks(best_score, popcount), ref_best)
+        # the search breaks ties only while backtracking; it must pick the
+        # oracles' sinks and parent sets, in the same order
+        want = []
+        w = (1 << n) - 1
+        while w:
+            s = int(ref_sink[w])
+            w ^= 1 << s
+            cm = _compress_mask(w, s)
+            want.append((s, _expand_mask(int(ref_set[s, cm]), s),
+                         float(ref_score[s, cm])))
+        assert _search(scores) == want
 
 
 def test_variable_count_guards():

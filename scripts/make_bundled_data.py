@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
-"""Regenerate the networks and synthetic datasets bundled with the package.
+"""Regenerate the synthetic datasets bundled with the package.
 
 The bundled files are committed; this script exists so they can be audited
-and rebuilt from scratch. Seeds are fixed, so output is byte-identical.
+and rebuilt from scratch. Each CSV is sampled from a network whose CPTs
+live in its JSON file next to it; synth4 has no file and is declared here.
+Seeds are fixed, so output is byte-identical.
 """
 
 import pathlib
@@ -10,58 +12,10 @@ import pathlib
 import numpy as np
 
 from bnsl.dataset import write_dataset
-from bnsl.model import BayesianNetwork, sample, save_network
+from bnsl.model import BayesianNetwork, load_network, sample
 from bnsl.structure import DagStructure
 
 DATA_DIR = pathlib.Path(__file__).resolve().parent.parent / "src/bnsl/data"
-
-
-def chain5() -> BayesianNetwork:
-    # A -> B -> C -> D -> E, each child copies its parent with prob 0.85
-    g = DagStructure(5, ((), (0,), (1,), (2,), (3,)), tuple("ABCDE"))
-    keep = np.array([[0.85, 0.15], [0.15, 0.85]])
-    cpts = (np.array([[0.6, 0.4]]), keep, keep, keep, keep)
-    return BayesianNetwork(g, (2,) * 5, cpts)
-
-
-def collider5() -> BayesianNetwork:
-    # A -> C <- B (noisy OR), then C -> D -> E
-    g = DagStructure(5, ((), (), (0, 1), (2,), (3,)), tuple("ABCDE"))
-    cpts = (
-        np.array([[0.55, 0.45]]),
-        np.array([[0.5, 0.5]]),
-        np.array([[0.85, 0.15], [0.2, 0.8], [0.2, 0.8], [0.1, 0.9]]),
-        np.array([[0.85, 0.15], [0.15, 0.85]]),
-        np.array([[0.8, 0.2], [0.2, 0.8]]),
-    )
-    return BayesianNetwork(g, (2,) * 5, cpts)
-
-
-def mixed6() -> BayesianNetwork:
-    # Ternary/binary mix: A -> {B, C}, {B, C} -> D, D -> E, C -> F
-    g = DagStructure(6, ((), (0,), (0,), (1, 2), (3,), (2,)), tuple("ABCDEF"))
-    cpts = (
-        np.array([[0.5, 0.3, 0.2]]),
-        np.array([[0.85, 0.15], [0.25, 0.75], [0.5, 0.5]]),
-        np.array([[0.7, 0.2, 0.1], [0.15, 0.7, 0.15], [0.1, 0.2, 0.7]]),
-        np.array([[0.9, 0.1], [0.6, 0.4], [0.3, 0.7],
-                  [0.55, 0.45], [0.25, 0.75], [0.05, 0.95]]),
-        np.array([[0.8, 0.2], [0.2, 0.8]]),
-        np.array([[0.75, 0.15, 0.1], [0.1, 0.75, 0.15], [0.15, 0.1, 0.75]]),
-    )
-    return BayesianNetwork(g, (3, 2, 3, 2, 2, 3), cpts)
-
-
-def web8() -> BayesianNetwork:
-    # Two branches from A re-converging at D, plus a chain D-E-F and
-    # a side chain C -> G -> H; all binary.
-    g = DagStructure(8, ((), (0,), (0,), (1, 2), (3,), (4,), (2,), (6,)),
-                     tuple("ABCDEFGH"))
-    keep = np.array([[0.85, 0.15], [0.15, 0.85]])
-    cpt_d = np.array([[0.9, 0.1], [0.55, 0.45], [0.45, 0.55], [0.1, 0.9]])
-    cpts = (np.array([[0.55, 0.45]]), keep, keep, cpt_d,
-            keep, keep, keep, keep)
-    return BayesianNetwork(g, (2,) * 8, cpts)
 
 
 def synth4() -> BayesianNetwork:
@@ -77,21 +31,11 @@ def synth4() -> BayesianNetwork:
 
 
 def main():
-    DATA_DIR.mkdir(parents=True, exist_ok=True)
-    networks = {
-        "chain5.json": chain5(),
-        "collider5.json": collider5(),
-        "mixed6.json": mixed6(),
-        "web8.json": web8(),
-    }
-    for name, net in networks.items():
-        save_network(DATA_DIR / name, net.structure, net.arities, net.cpts)
-        print("wrote", DATA_DIR / name)
-
     datasets = {
         "synth4_n400.csv": (synth4(), 400, 20260504),
-        "mixed6_n500.csv": (mixed6(), 500, 20260502),
-        "web8_n500.csv": (web8(), 500, 20260503),
+        "mixed6_n500.csv": (load_network(DATA_DIR / "mixed6.json"), 500,
+                            20260502),
+        "web8_n500.csv": (load_network(DATA_DIR / "web8.json"), 500, 20260503),
     }
     for name, (net, n, seed) in datasets.items():
         write_dataset(sample(net, n, seed=seed), DATA_DIR / name)

@@ -23,7 +23,8 @@ from . import __version__
 from .dataset import Dataset, load_dataset
 from .errors import DataError
 from .learner import learn_exact
-from .model import fit_bpp, fit_snml, load_network, mean_test_loglik, sample
+from .model import (fit_bpp, fit_ml, fit_snml, load_network,
+                    mean_test_loglik, sample)
 from .regret import regret_exact, regret_szp_all_range, regret_szp_small_r
 from .scores import CRITERIA, ScoreConfig
 from .structure import cpdag_shd, parameter_count, to_cpdag
@@ -131,7 +132,7 @@ def spec_from_json(doc: dict) -> ExperimentSpec:
 
 
 def load_spec(path: str) -> ExperimentSpec:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
@@ -141,8 +142,6 @@ def load_spec(path: str) -> ExperimentSpec:
 
 def default_spec(kind: str) -> ExperimentSpec:
     """Spec running the named experiment on the bundled networks/datasets."""
-    if kind == "regret-table":
-        return ExperimentSpec(kind=kind)
     if kind == "shd-curve":
         return ExperimentSpec(
             kind=kind,
@@ -156,8 +155,7 @@ def default_spec(kind: str) -> ExperimentSpec:
                       bundled_path("mixed6_n500.csv"),
                       bundled_path("web8_n500.csv")),
         )
-    raise DataError(f"unknown experiment kind {kind!r}; "
-                    f"expected one of {', '.join(KINDS)}")
+    return ExperimentSpec(kind=kind)
 
 
 def _fmt(x: float) -> str:
@@ -196,16 +194,12 @@ def run_shd_curve(spec: ExperimentSpec) -> list[list[str]]:
         net = load_network(net_path)
         truth = to_cpdag(net.structure)
         for n in spec.sample_sizes:
-            def one_rep(rep: int):
+            per_rep = np.empty((spec.repetitions, len(spec.criteria)))
+            for rep in range(spec.repetitions):
                 data = sample(net, n, seed=spec.seed + rep)
-                out = []
-                for crit in spec.criteria:
+                for j, crit in enumerate(spec.criteria):
                     res = learn_exact(data, ScoreConfig(criterion=crit))
-                    out.append(cpdag_shd(to_cpdag(res.network), truth))
-                return out
-            per_rep = np.array([one_rep(rep)
-                                for rep in range(spec.repetitions)],
-                               dtype=float)
+                    per_rep[rep, j] = cpdag_shd(to_cpdag(res.network), truth)
             for j, crit in enumerate(spec.criteria):
                 col = per_rep[:, j]
                 err = (col.std(ddof=1) / np.sqrt(len(col))
@@ -215,11 +209,15 @@ def run_shd_curve(spec: ExperimentSpec) -> list[list[str]]:
     return rows
 
 
-def _fit_for(criterion: str):
-    return fit_bpp if criterion == "bdeu" else fit_snml
+def fit_for(criterion: str, params: str | None = None):
+    """Parameter rule named by ``params``, or by default the one paired
+    with the criterion: Bayesian posterior-predictive parameters for BDeu,
+    sequential NML parameters for everything else."""
+    rule = params or ("bpp" if criterion == "bdeu" else "snml")
+    return {"ml": fit_ml, "snml": fit_snml, "bpp": fit_bpp}[rule]
 
 
-def _min_ranks(values: list[float]) -> list[int]:
+def _min_ranks(values) -> list[int]:
     """Rank 1 = best (largest value); exactly equal values share the
     smallest rank of their group."""
     order = sorted(range(len(values)), key=lambda i: -values[i])
@@ -232,24 +230,26 @@ def _min_ranks(values: list[float]) -> list[int]:
     return ranks
 
 
-def _predict_tables(spec: ExperimentSpec, with_loglik: bool):
+def _predict_tables(spec: ExperimentSpec) -> list[list[str]]:
     """Shared driver for the prediction-rank and model-size experiments.
 
     Per repetition the rows are permuted once; each train fraction takes
     the leading slice of that permutation, so larger fractions extend the
-    smaller ones instead of resampling.
+    smaller ones instead of resampling. Each (dataset, criterion, fraction)
+    row holds the mean held-out log-likelihood, rank and parameter count.
     """
     if not spec.datasets:
         raise DataError(f"{spec.kind} needs at least one dataset file")
-    out = []
+    rows = []
     for ds_path in spec.datasets:
         data = load_dataset(ds_path)
-
-        def one_rep(rep: int):
-            rng = np.random.default_rng(spec.seed + rep)
-            perm = rng.permutation(data.n_rows)
-            cells = []
-            for fraction in spec.train_fractions:
+        # log-likelihood, rank, parameter count x fraction x criterion x rep
+        stats = np.empty((3, len(spec.train_fractions), len(spec.criteria),
+                          spec.repetitions))
+        for rep in range(spec.repetitions):
+            perm = np.random.default_rng(spec.seed + rep).permutation(
+                data.n_rows)
+            for fi, fraction in enumerate(spec.train_fractions):
                 n_train = int(fraction * data.n_rows)
                 if n_train < 1 or n_train >= data.n_rows:
                     raise DataError(
@@ -259,44 +259,28 @@ def _predict_tables(spec: ExperimentSpec, with_loglik: bool):
                                 data.rows[perm[:n_train]])
                 test = Dataset(data.names, data.arities,
                                data.rows[perm[n_train:]])
-                logliks, params = [], []
-                for crit in spec.criteria:
-                    res = learn_exact(train, ScoreConfig(criterion=crit))
-                    params.append(parameter_count(res.network, data.arities))
-                    if with_loglik:
-                        net = _fit_for(crit)(train, res.network)
-                        logliks.append(mean_test_loglik(net, test))
-                ranks = _min_ranks(logliks) if with_loglik else []
-                cells.append((logliks, ranks, params))
-            return cells
-
-        per_rep = [one_rep(rep) for rep in range(spec.repetitions)]
+                for ci, crit in enumerate(spec.criteria):
+                    g = learn_exact(train, ScoreConfig(criterion=crit)).network
+                    net = fit_for(crit)(train, g)
+                    stats[0, fi, ci, rep] = mean_test_loglik(net, test)
+                    stats[2, fi, ci, rep] = parameter_count(g, data.arities)
+                stats[1, fi, :, rep] = _min_ranks(stats[0, fi, :, rep])
         for fi, fraction in enumerate(spec.train_fractions):
             for ci, crit in enumerate(spec.criteria):
-                logliks = [per_rep[rep][fi][0][ci] if with_loglik else 0.0
-                           for rep in range(spec.repetitions)]
-                ranks = [per_rep[rep][fi][1][ci] if with_loglik else 0
-                         for rep in range(spec.repetitions)]
-                params = [per_rep[rep][fi][2][ci]
-                          for rep in range(spec.repetitions)]
-                out.append((_label(ds_path), crit, fraction,
-                            float(np.mean(logliks)), float(np.mean(ranks)),
-                            float(np.mean(params))))
-    return out
+                rows.append([_label(ds_path), crit, _fmt(fraction)]
+                            + [_fmt(np.mean(stats[k, fi, ci]))
+                               for k in range(3)])
+    return rows
 
 
 def run_predict_rank(spec: ExperimentSpec) -> list[list[str]]:
     """Mean held-out log-likelihood and mean rank per train fraction.
 
-    Parameters pair with the criterion that chose the model: Bayesian
-    posterior-predictive parameters for the Bayesian score, sequential
-    NML parameters for everything else.
+    Parameters pair with the criterion that chose the model (see
+    ``fit_for``).
     """
-    cells = _predict_tables(spec, with_loglik=True)
-    rows = [["dataset", "criterion", "fraction", "meanLogLik", "rank"]]
-    for ds, crit, fraction, loglik, rank, _ in cells:
-        rows.append([ds, crit, _fmt(fraction), _fmt(loglik), _fmt(rank)])
-    return rows
+    header = ["dataset", "criterion", "fraction", "meanLogLik", "rank"]
+    return [header] + [row[:5] for row in _predict_tables(spec)]
 
 
 def run_param_count(spec: ExperimentSpec) -> list[list[str]]:
@@ -305,11 +289,8 @@ def run_param_count(spec: ExperimentSpec) -> list[list[str]]:
     Counts use the full parent-configuration product, matching the
     dimension the BIC penalty charges for.
     """
-    cells = _predict_tables(spec, with_loglik=False)
-    rows = [["dataset", "criterion", "fraction", "meanParamCount"]]
-    for ds, crit, fraction, _, _, params in cells:
-        rows.append([ds, crit, _fmt(fraction), _fmt(params)])
-    return rows
+    header = ["dataset", "criterion", "fraction", "meanParamCount"]
+    return [header] + [row[:3] + row[5:] for row in _predict_tables(spec)]
 
 
 RUNNERS = {

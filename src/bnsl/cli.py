@@ -13,13 +13,13 @@ import os
 import sys
 import time
 
-from .bench import (KINDS, RUNNERS, default_spec, load_spec, run_experiment,
-                    run_regret_table)
+from .bench import (KINDS, RUNNERS, default_spec, fit_for, load_spec,
+                    run_experiment, run_regret_table)
 from .dataset import Dataset, load_dataset, load_datasets_shared, write_dataset
 from .errors import DataError, ResourceLimitError
 from .learner import learn_exact
-from .model import (fit_bpp, fit_ml, fit_snml, load_network, load_structure,
-                    mean_test_loglik, sample, save_network)
+from .model import (fit_ml, load_network, load_structure, mean_test_loglik,
+                    sample, save_network)
 from .regret import regret
 from .scores import CRITERIA, ScoreConfig, per_variable_scores
 from .structure import DagStructure, shd
@@ -141,9 +141,7 @@ def _cmd_predict(args) -> int:
     train, test = load_datasets_shared([args.train, args.test])
     cfg = _score_config(args)
     result = learn_exact(train, cfg)
-    params = args.params or ("bpp" if args.criterion == "bdeu" else "snml")
-    fit = {"ml": fit_ml, "snml": fit_snml, "bpp": fit_bpp}[params]
-    net = fit(train, result.network)
+    net = fit_for(args.criterion, args.params)(train, result.network)
     print("%.6f" % mean_test_loglik(net, test))
     return 0
 

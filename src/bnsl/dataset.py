@@ -87,7 +87,7 @@ def write_dataset(data: Dataset, path) -> None:
     if hasattr(path, "write"):
         emit(path)
     else:
-        with open(path, "w", newline="") as fh:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
             emit(fh)
 
 
@@ -103,7 +103,9 @@ def load_datasets_shared(paths, declared_arities=None) -> list[Dataset]:
     headers = []
     raws = []
     for path in paths:
-        with open(path, newline="") as fh:
+        # utf-8-sig drops a byte-order mark, which would otherwise become
+        # part of the first variable name
+        with open(path, encoding="utf-8-sig", newline="") as fh:
             reader = csv.reader(fh)
             try:
                 headers.append(next(reader))
@@ -199,11 +201,9 @@ def contingency(data: Dataset, child: int, parents) -> np.ndarray:
         raise ResourceLimitError(
             f"contingency table with {q} x {r} cells exceeds the dense-table "
             f"guard of {MAX_TABLE_CELLS}")
-    if data.n_rows:
-        j = config_indices(data.rows, parents, data.arities)
-        flat = j * r + data.rows[:, child]
-        return np.bincount(flat, minlength=q * r).reshape(q, r)
-    return np.zeros((q, r), dtype=np.int64)
+    # the child as the last, fastest-moving digit of one mixed-radix index
+    flat = config_indices(data.rows, (*parents, child), data.arities)
+    return np.bincount(flat, minlength=q * r).reshape(q, r)
 
 
 # k ln k at index k, grown on demand and never shrunk. Each entry is
@@ -258,7 +258,8 @@ def empirical_cond_entropy(data: Dataset, child: int, parents) -> float:
     """Empirical conditional entropy H(child | parents) in nats."""
     if data.n_rows == 0:
         raise DataError("conditional entropy needs at least one row")
-    return -counts_loglik(contingency(data, child, parents)) / data.n_rows
+    counts = contingency(data, child, parents)
+    return -_loglik(counts, counts.sum(axis=1)) / data.n_rows
 
 
 def _check_family(n: int, child: int, parents) -> None:

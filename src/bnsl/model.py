@@ -193,13 +193,13 @@ def save_network(path, g: DagStructure, arities, cpts=None) -> None:
     if cpts is not None:
         doc["cpts"] = {names[i]: np.asarray(cpts[i]).tolist()
                        for i in range(g.n)}
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
 
 
 def _parse_network(path):
-    with open(path) as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as e:

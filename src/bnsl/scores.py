@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset, _loglik, contingency, counts_loglik
+from .dataset import Dataset, _loglik, contingency
 from .errors import DataError
 from .regret import RegretCache, canonical_method, shared_cache
 from .structure import DagStructure
@@ -53,7 +53,7 @@ def bic_local(counts: np.ndarray, n_rows: int, cfg: ScoreConfig,
         raise DataError("BIC needs at least one data row")
     q, r = counts.shape
     penalty = 0.5 * q * (r - 1) * math.log(n_rows)
-    return counts_loglik(counts) - penalty
+    return _loglik(counts, counts.sum(axis=1)) - penalty
 
 
 def bdeu_local(counts: np.ndarray, n_rows: int, cfg: ScoreConfig,
@@ -92,7 +92,7 @@ def qnml_local(counts: np.ndarray, n_rows: int, cfg: ScoreConfig,
     """
     penalty = (cache.get(n_rows, counts.size)
                - cache.get(n_rows, counts.shape[0]))
-    return counts_loglik(counts) - penalty
+    return _loglik(counts, counts.sum(axis=1)) - penalty
 
 
 def bdq_local(counts: np.ndarray, n_rows: int, cfg: ScoreConfig,

@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .dataset import Dataset, config_indices, contingency, counts_loglik
+from .dataset import Dataset, _loglik, config_indices, contingency
 from .errors import DataError, ResourceLimitError
 
 # brute-force NML enumerates (prod arities)^N joint datasets
@@ -293,7 +293,8 @@ def parameter_count(g: DagStructure, arities) -> int:
 def _dataset_max_loglik(data: Dataset, g: DagStructure) -> float:
     total = 0.0
     for child in range(g.n):
-        total += counts_loglik(contingency(data, child, g.parents[child]))
+        counts = contingency(data, child, g.parents[child])
+        total += _loglik(counts, counts.sum(axis=1))
     return total
 
 

@@ -81,8 +81,10 @@ def test_spec_from_json_rejects_unknown_fields():
 
 def test_load_spec(tmp_path):
     path = tmp_path / "spec.json"
-    path.write_text('{"kind": "regret-table", "seeds": 3}')
-    assert load_spec(path).seed == 3
+    for text in ('{"kind": "regret-table", "seeds": 3}',
+                 '\ufeff{"kind": "regret-table", "seeds": 3}'):
+        path.write_text(text, encoding="utf-8")
+        assert load_spec(path).seed == 3
     path.write_text("{oops")
     with pytest.raises(DataError):
         load_spec(path)
@@ -218,6 +220,77 @@ def test_sparse_penalty_ranking_shifts_with_training_size():
     rows = run_predict_rank(spec)
     rank = {(row[1], row[2]): float(row[4]) for row in rows[1:]}
     assert rank[("bic", "0.1")] < rank[("bic", "0.9")]
+
+
+# ----------------------------------------------------------- golden rows
+
+# Exact output of the three runners on small specs, all five criteria.
+# Ten repetitions send each mean through numpy's eight-way unrolled
+# pairwise summation rather than its plain loop for short arrays.
+GOLDEN_CRITERIA = ("bic", "bdeu", "fnml", "qnml", "bdq")
+
+GOLDEN_SHD_CURVE = """\
+network,criterion,n,meanSHD,stderr
+chain5,bic,20,1.6,0.47609522857
+chain5,bdeu,20,2.7,0.395811402901
+chain5,fnml,20,2.9,0.433333333333
+chain5,qnml,20,3,0.471404520791
+chain5,bdq,20,2.7,0.472581562625
+chain5,bic,200,0.3,0.3
+chain5,bdeu,200,0.3,0.3
+chain5,fnml,200,0.7,0.395811402901
+chain5,qnml,200,0.9,0.406885187191
+chain5,bdq,200,0.9,0.406885187191
+"""
+
+GOLDEN_PREDICT_RANK = """\
+dataset,criterion,fraction,meanLogLik,rank
+synth4_n400,bic,0.2,-2.16463346197,1.4
+synth4_n400,bdeu,0.2,-2.24987980845,4.5
+synth4_n400,fnml,0.2,-2.19701653898,2.5
+synth4_n400,qnml,0.2,-2.19635854793,2.3
+synth4_n400,bdq,0.2,-2.19393050652,2.5
+synth4_n400,bic,0.7,-2.04749802963,1.8
+synth4_n400,bdeu,0.7,-2.04853568913,3.2
+synth4_n400,fnml,0.7,-2.04761649946,3.3
+synth4_n400,qnml,0.7,-2.04754525929,2.3
+synth4_n400,bdq,0.7,-2.04750292822,1.7
+"""
+
+GOLDEN_PARAM_COUNT = """\
+dataset,criterion,fraction,meanParamCount
+synth4_n400,bic,0.2,10.8
+synth4_n400,bdeu,0.2,12.4
+synth4_n400,fnml,0.2,12.4
+synth4_n400,qnml,0.2,12.8
+synth4_n400,bdq,0.2,12.5
+synth4_n400,bic,0.7,11
+synth4_n400,bdeu,0.7,11
+synth4_n400,fnml,0.7,11
+synth4_n400,qnml,0.7,11
+synth4_n400,bdq,0.7,11
+"""
+
+
+def golden_predict_spec(kind):
+    return ExperimentSpec(kind=kind, criteria=GOLDEN_CRITERIA, repetitions=10,
+                          seed=3, datasets=(bundled_path("synth4_n400.csv"),),
+                          train_fractions=(0.2, 0.7))
+
+
+def as_text(rows):
+    return "".join(",".join(row) + "\n" for row in rows)
+
+
+def test_runners_reproduce_golden_rows():
+    shd_spec = ExperimentSpec(kind="shd-curve", criteria=GOLDEN_CRITERIA,
+                              sample_sizes=(20, 200), repetitions=10, seed=3,
+                              networks=(bundled_path("chain5.json"),))
+    assert as_text(run_shd_curve(shd_spec)) == GOLDEN_SHD_CURVE
+    assert (as_text(run_predict_rank(golden_predict_spec("predict-rank")))
+            == GOLDEN_PREDICT_RANK)
+    assert (as_text(run_param_count(golden_predict_spec("param-count")))
+            == GOLDEN_PARAM_COUNT)
 
 
 # ------------------------------------------------------------ experiments

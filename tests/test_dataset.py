@@ -16,22 +16,8 @@ from conftest import random_dataset
 
 def write(tmp_path, text, name="d.csv"):
     path = tmp_path / name
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
     return path
-
-
-def test_load_maps_categories_in_sorted_order(tmp_path):
-    data = load_dataset(write(tmp_path, "A,B\nyes,1\nno,0\nno,2\n"))
-    assert data.names == ("A", "B")
-    assert data.arities == (2, 3)
-    # "no" < "yes", "0" < "1" < "2"
-    assert data.rows.tolist() == [[1, 1], [0, 0], [0, 2]]
-
-
-def test_load_is_row_order_independent(tmp_path):
-    a = load_dataset(write(tmp_path, "A\nx\ny\nz\n", "a.csv"))
-    b = load_dataset(write(tmp_path, "A\nz\ny\nx\n", "b.csv"))
-    assert sorted(a.rows[:, 0].tolist()) == sorted(b.rows[:, 0].tolist())
 
 
 def load_one_shared(path, declared_arities=None):
@@ -41,6 +27,23 @@ def load_one_shared(path, declared_arities=None):
 # load_dataset delegates to the shared loader; both entry points must
 # validate alike
 LOADERS = (load_dataset, load_one_shared)
+
+
+def test_load_maps_categories_in_sorted_order(tmp_path):
+    # a UTF-8 byte-order mark is not part of the first variable name
+    for text in ("A,B\nyes,1\nno,0\nno,2\n", "\ufeffA,B\nyes,1\nno,0\nno,2\n"):
+        for load in LOADERS:
+            data = load(write(tmp_path, text))
+            assert data.names == ("A", "B")
+            assert data.arities == (2, 3)
+            # "no" < "yes", "0" < "1" < "2"
+            assert data.rows.tolist() == [[1, 1], [0, 0], [0, 2]]
+
+
+def test_load_is_row_order_independent(tmp_path):
+    a = load_dataset(write(tmp_path, "A\nx\ny\nz\n", "a.csv"))
+    b = load_dataset(write(tmp_path, "A\nz\ny\nx\n", "b.csv"))
+    assert sorted(a.rows[:, 0].tolist()) == sorted(b.rows[:, 0].tolist())
 
 
 def test_declared_arities_widen_but_never_narrow(tmp_path):

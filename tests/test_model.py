@@ -245,12 +245,16 @@ def test_network_file_roundtrip(tmp_path):
     net = chain_net()
     path = tmp_path / "net.json"
     save_network(path, net.structure, net.arities, net.cpts)
-    back = load_network(path)
-    assert back.structure.parents == net.structure.parents
-    assert back.structure.names == ("A", "B")
-    assert back.arities == net.arities
-    for got, want in zip(back.cpts, net.cpts):
-        assert np.allclose(got, want)
+    # the same file behind a UTF-8 byte-order mark
+    bom_path = tmp_path / "bom.json"
+    bom_path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    for p in (path, bom_path):
+        back = load_network(p)
+        assert back.structure.parents == net.structure.parents
+        assert back.structure.names == ("A", "B")
+        assert back.arities == net.arities
+        for got, want in zip(back.cpts, net.cpts):
+            assert np.allclose(got, want)
 
 
 def test_structure_only_file(tmp_path):

@@ -36,8 +36,9 @@ def _unused_imports(path):
 def test_no_unused_top_level_imports():
     # __init__.py imports exist to re-export names, so it is left out
     root = Path(__file__).resolve().parent
-    files = [p for p in sorted((root.parent / "src" / "bnsl").glob("*.py"))
-             if p.name != "__init__.py"] + sorted(root.glob("*.py"))
+    files = ([p for p in sorted((root.parent / "src" / "bnsl").glob("*.py"))
+              if p.name != "__init__.py"] + sorted(root.glob("*.py"))
+             + sorted((root.parent / "scripts").glob("*.py")))
     assert files
     assert [hit for p in files for hit in _unused_imports(p)] == []
 

@@ -137,6 +137,8 @@ def load_spec(path: str) -> ExperimentSpec:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise DataError(f"{path}: invalid JSON: {exc}") from None
+        except UnicodeDecodeError:
+            raise DataError(f"{path}: not UTF-8 text") from None
     return spec_from_json(doc)
 
 

@@ -109,9 +109,11 @@ def load_datasets_shared(paths, declared_arities=None) -> list[Dataset]:
             reader = csv.reader(fh)
             try:
                 headers.append(next(reader))
+                raws.append(list(reader))
             except StopIteration:
                 raise DataError(f"{path}: empty file") from None
-            raws.append(list(reader))
+            except UnicodeDecodeError:
+                raise DataError(f"{path}: not UTF-8 text") from None
     for path, names in zip(paths, headers):
         if not names or names == [""]:
             raise DataError(f"{path}: empty header")

@@ -6,24 +6,30 @@ candidate set, then a best-sink sweep over subsets of all variables with
 backtracking. Finds a provably score-optimal network for any decomposable
 criterion; complexity is O(n 2^n) table entries, which caps n at 20.
 
+The local-score table counts each variable subset once, not each of the
+n 2^(n-1) families (Silander & Myllymaki, UAI 2006): a family's cells are
+those of its subset, and every criterion's remaining terms depend on the
+parent set and the child arity alone.
+
 The two search stages keep scores only; ties are resolved once, during
 backtracking (see _search).
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
-from itertools import combinations
+from functools import lru_cache
 
 import numpy as np
 
-from .dataset import Dataset
+from .dataset import MAX_TABLE_CELLS, Dataset
 from .errors import DataError, ResourceLimitError
 from .regret import shared_cache
-from .scores import ScoreConfig, local_score
+from .scores import ScoreConfig, criterion
 from .structure import (DagStructure, dag_from_masks, enumerate_dags,
-                        mask_to_parents, parents_to_mask)
+                        mask_to_parents)
 
 MAX_VARS = 20
 BRUTEFORCE_MAX_VARS = 5
@@ -54,11 +60,22 @@ class LearnResult:
     elapsed: float
 
 
+# a non-finite entry is a DataError, so the operations that make one stay quiet
+@np.errstate(invalid="ignore")
 def compute_local_scores(data: Dataset, cfg: ScoreConfig,
                          max_parents: int | None = None) -> LocalScoreTable:
-    """Score every admissible (child, parent set) pair.
+    """Score every admissible (child, parent set) pair, counting each
+    variable subset once.
 
-    One contingency pass per pair; each pair is scored exactly once.
+    A family {c} + P has the cells of the subset T = P + {c}, and every
+    criterion's other terms depend on P and the child arity alone (see
+    scores.Criterion). So the subsets T with |T| <= cap + 1 are visited in
+    increasing-mask order, each with one bincount: its mixed-radix index is
+    x_v * cells(T - v) + index(T - v), v the lowest variable of T, and
+    T - v was visited before T. A stack of one index per subset size holds
+    the indices still needed. T's cell terms are summed once per child, in
+    that family's own order; when |T| <= cap, its parent-set terms are kept
+    as well. Each entry equals local_score of its family bit for bit.
     """
     n = data.n_vars
     if max_parents is not None and max_parents < 0:
@@ -66,18 +83,99 @@ def compute_local_scores(data: Dataset, cfg: ScoreConfig,
     if n > MAX_VARS:
         raise ResourceLimitError(
             f"{n} variables exceed the subset search limit of {MAX_VARS}")
-    cache = shared_cache(cfg.regret_method)
     cap = n - 1 if max_parents is None else min(max_parents, n - 1)
-    scores = np.full((n, 1 << (n - 1)), -np.inf)
-    for child in range(n):
-        others = [v for v in range(n) if v != child]
-        for size in range(cap + 1):
-            for parents in combinations(others, size):
-                cm = _compress_mask(parents_to_mask(parents), child)
-                scores[child, cm] = local_score(data, child, parents, cfg,
-                                                cache)
+    arities = data.arities
+    largest = math.prod(sorted(arities, reverse=True)[:cap + 1])
+    if largest > MAX_TABLE_CELLS:
+        raise ResourceLimitError(
+            f"a family with {largest} cells exceeds the dense-table guard of "
+            f"{MAX_TABLE_CELLS}")
+    crit = criterion(cfg.criterion)
+    cache = shared_cache(cfg.regret_method)
+    n_rows = data.n_rows
+    child_arities = sorted(set(arities))
+    half = 1 << (n - 1)
+    popcount = _popcounts(n)
+    # per parent set P: its parent term, and its penalty per child arity
+    parent = np.zeros(2 * half)
+    penalty = np.zeros((len(child_arities), 2 * half))
+    scores = np.full((n, half), -np.inf)
+    flat = scores.reshape(-1)
+    columns = data.rows.T.copy()
+    # per subset size: (index, axis lengths, cells, flat table positions of
+    # its families, children ascending) of the last subset of that size
+    stack = [None] * (cap + 2)
+    stack[0] = (np.zeros(n_rows, dtype=np.int64), (), 1, [])
+    for t in np.flatnonzero(popcount <= cap + 1).tolist():
+        k = t.bit_count()
+        index, dims, cells, pos = stack[max(k - 1, 0)]
+        if t:
+            low = t & -t
+            v = low.bit_length() - 1
+            index = columns[v] * cells + index
+            dims = (arities[v], *dims)
+            cells *= arities[v]
+            # child v has parents t - v, all above v; the other children
+            # gain parent v, which keeps bit v in their compressed masks
+            pos = [v * half + ((t ^ low) >> (v + 1) << v),
+                   *(p | low for p in pos)]
+        counts = np.bincount(index, minlength=cells)
+        if k <= cap:
+            stack[k] = (index, dims, cells, pos)
+            parent[t] = crit.parent(counts, n_rows, cfg)
+            for i, r in enumerate(child_arities):
+                penalty[i, t] = crit.penalty(counts, r, n_rows, cfg, cache)
+        if k:
+            flat[pos] = _family_sums(crit.cell(counts, cells, n_rows, cfg),
+                                     dims)
+    admissible = np.flatnonzero(popcount[:half] <= cap)
+    for c in range(n):
+        p = _expand_mask(admissible, c)
+        row = crit.join(scores[c, admissible], parent[p],
+                        penalty[child_arities.index(arities[c]), p])
+        bad = np.flatnonzero(~np.isfinite(row))
+        if bad.size:
+            raise DataError(f"{cfg.criterion} local score of "
+                            f"{data.names[c]!r} is {row[bad[0]]}, not finite")
+        scores[c, admissible] = row
     scores.flags.writeable = False
     return LocalScoreTable(n, scores, max_parents)
+
+
+# a subset's family orders are gathered through one cached permutation up to
+# this many entries (children x cells), child by child beyond it
+_GATHER_ENTRIES = 1 << 17
+
+
+def _family_sums(terms: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
+    """Per child of a subset, the sum of its cell terms in that family's order.
+
+    terms is indexed mixed-radix over the subset's variables ascending, with
+    axis lengths dims. Child i sums with axis i moved last, the layout of
+    dataset.contingency, so each sum is the family's own 1-D float sum; a
+    row sum of a C-contiguous array is bitwise that same sum.
+    """
+    if len(dims) * terms.size <= _GATHER_ENTRIES:
+        return terms[_family_orders(dims)].sum(axis=1)
+    cube = terms.reshape(dims)
+    return np.array([np.moveaxis(cube, i, -1).ravel().sum()
+                     for i in range(len(dims))])
+
+
+@lru_cache(maxsize=32)
+def _family_orders(dims: tuple[int, ...]) -> np.ndarray:
+    """Row i lists a subset's cells in the family order of its child i."""
+    cube = np.arange(math.prod(dims)).reshape(dims)
+    return np.stack([np.moveaxis(cube, i, -1).ravel()
+                     for i in range(len(dims))])
+
+
+def _popcounts(n: int) -> np.ndarray:
+    """Bit count of every mask below 2^n, as int8."""
+    popcount = np.zeros(1 << n, dtype=np.int8)
+    for b in range(n):
+        popcount[1 << b:2 << b] = popcount[:1 << b] + 1
+    return popcount
 
 
 def _compress_mask(mask, child):
@@ -106,21 +204,28 @@ def _best_parents(scores: np.ndarray) -> np.ndarray:
     return best
 
 
+# the sink sweep scores at most this many subsets of one layer at a time,
+# which bounds its n x chunk temporaries
+_SWEEP_CHUNK = 1 << 13
+
+
 def _best_sinks(best_score: np.ndarray, popcount: np.ndarray) -> np.ndarray:
     """Best network score of every variable subset w.
 
     Subsets are swept one popcount layer at a time, so every subset one
-    smaller is final before w is scored.
+    smaller is final before w is scored. A wide layer is scored in chunks.
     """
     n = best_score.shape[0]
     sinks = np.arange(n)[:, None]
     best = np.zeros(1 << n)
     for k in range(1, n + 1):
         layer = np.flatnonzero(popcount == k)
-        # row s: w without sink s, meaningful only where s is in w
-        rest = layer ^ (1 << sinks)
-        best[layer] = np.where(rest < layer, best[rest] + best_score[
-            sinks, _compress_mask(rest, sinks)], -np.inf).max(axis=0)
+        for start in range(0, len(layer), _SWEEP_CHUNK):
+            w = layer[start:start + _SWEEP_CHUNK]
+            # row s: w without sink s, meaningful only where s is in w
+            rest = w ^ (1 << sinks)
+            best[w] = np.where(rest < w, best[rest] + best_score[
+                sinks, _compress_mask(rest, sinks)], -np.inf).max(axis=0)
     return best
 
 
@@ -133,9 +238,7 @@ def _search(scores: np.ndarray) -> list[tuple[int, int, float]]:
     equals the fold's best exactly.
     """
     n = scores.shape[0]
-    popcount = np.zeros(1 << n, dtype=np.int8)
-    for b in range(n):
-        popcount[1 << b:2 << b] = popcount[:1 << b] + 1
+    popcount = _popcounts(n)
     best_score = _best_parents(scores)
     best = _best_sinks(best_score, popcount)
     picks = []

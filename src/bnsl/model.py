@@ -204,6 +204,8 @@ def _parse_network(path):
             doc = json.load(fh)
         except json.JSONDecodeError as e:
             raise DataError(f"{path}: invalid JSON ({e})") from None
+        except UnicodeDecodeError:
+            raise DataError(f"{path}: not UTF-8 text") from None
     try:
         variables = doc["variables"]
         parents_by_name = doc["parents"]

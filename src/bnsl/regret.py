@@ -139,6 +139,8 @@ class RegretCache:
 
     method: str = "szp-all-range"
     memo: dict = field(default_factory=dict)
+    # r -> the values get(n, r) so far at index n, NaN where not yet asked
+    by_count: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         self.method = canonical_method(self.method)
@@ -150,6 +152,23 @@ class RegretCache:
             value = _METHOD_FNS[self.method](key[0], key[1])
             self.memo[key] = value
         return value
+
+    def get_many(self, counts: np.ndarray, r: int) -> np.ndarray:
+        """get(n, r) of every n in an array of sample counts, in order."""
+        known = self.by_count.get(r)
+        top = int(counts.max(initial=0))
+        if known is None or top >= len(known):
+            grown = np.full(top + 1, np.nan)
+            if known is not None:
+                grown[:len(known)] = known
+            self.by_count[r] = known = grown
+        out = known[counts]
+        missing = np.isnan(out)
+        if missing.any():
+            for n in np.unique(counts[missing]).tolist():
+                known[n] = self.get(n, r)
+            out = known[counts]
+        return out
 
 
 _shared: dict[str, RegretCache] = {}

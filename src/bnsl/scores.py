@@ -1,20 +1,25 @@
 """Decomposable local scores for structure learning.
 
-Five criteria, BIC, BDeu, fNML, qNML and BDq, are each a function of one
-family's q x r count array (see dataset.contingency). Every score is a
-natural-log quantity and decomposes over variables, so the network score is
-the sum of local terms. Parent configuration counts q_i always use the full
-arity product, never just the configurations observed in the data.
+Five criteria, BIC, BDeu, fNML, qNML and BDq, are each written in two
+parts (see Criterion): a sum of elementwise terms over the cells of the
+family {child} + parents, and terms of the parent set's cell totals and the
+child arity. A family's cells are the cells of its variable subset, so the
+local-score table counts each subset once and reuses each parent set's
+terms for every child. Every score is a natural-log quantity and decomposes
+over variables, so the network score is the sum of local terms. Parent
+configuration counts q_i always use the full arity product, never just the
+configurations observed in the data.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset, _loglik, contingency
+from .dataset import Dataset, _xlogx_table, contingency
 from .errors import DataError
 from .regret import RegretCache, canonical_method, shared_cache
 from .structure import DagStructure
@@ -46,81 +51,143 @@ class ScoreConfig:
                            canonical_method(self.regret_method))
 
 
-def bic_local(counts: np.ndarray, n_rows: int, cfg: ScoreConfig,
-              cache: RegretCache) -> float:
-    """Maximized log-likelihood minus (q (r-1) / 2) ln N."""
+@dataclass(frozen=True)
+class Criterion:
+    """One local score written in two parts, shared by local_score and the
+    subset-keyed table (learner.compute_local_scores).
+
+    cell(counts, cells, n_rows, cfg) is an elementwise term of a family's
+    count array over `cells` cells; the family sums it in its own order,
+    child axis last. parent(totals, n_rows, cfg) is a term of the parent
+    set's cell totals alone, and penalty(totals, r, n_rows, cfg, cache) one
+    of those totals and the child arity r. join(cell_sum, parent, penalty)
+    gives the score; it works elementwise on arrays of families.
+    """
+
+    cell: Callable
+    parent: Callable
+    penalty: Callable
+    join: Callable
+
+
+def _xlogx_cells(counts, cells, n_rows, cfg):
+    """N ln N of every cell; the family sums give the log-likelihood."""
+    return _xlogx_table(n_rows)[counts]
+
+
+def _xlogx_parent(totals, n_rows, cfg):
+    return _xlogx_table(n_rows)[totals].sum()
+
+
+def _loglik_join(cell_sum, parent, penalty):
+    """Maximized log-likelihood, clamped to <= 0 like counts_loglik, minus
+    the penalty."""
+    return np.minimum(cell_sum - parent, 0.0) - penalty
+
+
+def _bic_penalty(totals, r, n_rows, cfg, cache):
+    """BIC: (q (r-1) / 2) ln N."""
     if n_rows < 1:
         raise DataError("BIC needs at least one data row")
-    q, r = counts.shape
-    penalty = 0.5 * q * (r - 1) * math.log(n_rows)
-    return _loglik(counts, counts.sum(axis=1)) - penalty
+    return 0.5 * len(totals) * (r - 1) * math.log(n_rows)
 
 
-def bdeu_local(counts: np.ndarray, n_rows: int, cfg: ScoreConfig,
-               cache: RegretCache) -> float:
-    """BDeu marginal likelihood with equivalent sample size cfg.bdeu_alpha."""
-    # scipy's gammaln, not math.lgamma: the two round differently, and the
-    # pinned scores depend on its rounding
-    from scipy.special import gammaln
-    a_j = cfg.bdeu_alpha / counts.shape[0]
-    a_jk = cfg.bdeu_alpha / counts.size
-    # unobserved configurations contribute exactly 0 to both sums
-    score = float((gammaln(a_jk + counts) - gammaln(a_jk)).sum())
-    score += float((gammaln(a_j) - gammaln(a_j + counts.sum(axis=1))).sum())
-    return score
+def _fnml_penalty(totals, r, n_rows, cfg, cache):
+    """Factorized NML: reg(N_j, r) of every observed parent configuration j,
+    added one at a time in j order."""
+    seen = totals[totals > 0]
+    if not seen.size:
+        return 0.0
+    return float(np.cumsum(cache.get_many(seen, r))[-1])
 
 
-def fnml_local(counts: np.ndarray, n_rows: int, cfg: ScoreConfig,
-               cache: RegretCache) -> float:
-    """Factorized NML: per observed parent configuration, regret of its slice."""
-    r = counts.shape[1]
-    totals = counts.sum(axis=1)
-    penalty = 0.0
-    for n_j in totals:
-        if n_j > 0:
-            penalty += cache.get(int(n_j), r)
-    return _loglik(counts, totals) - penalty
-
-
-def qnml_local(counts: np.ndarray, n_rows: int, cfg: ScoreConfig,
-               cache: RegretCache) -> float:
-    """Quotient NML: regret of the collapsed family minus regret of the parents.
+def _qnml_penalty(totals, r, n_rows, cfg, cache):
+    """Quotient NML: regret of the collapsed family minus regret of the
+    parents.
 
     Both regret terms are evaluated at the full sample size with cell counts
     taken from the full arity product, which is what makes the score exactly
     invariant under covered-arc reversal.
     """
-    penalty = (cache.get(n_rows, counts.size)
-               - cache.get(n_rows, counts.shape[0]))
-    return _loglik(counts, counts.sum(axis=1)) - penalty
+    q = len(totals)
+    return cache.get(n_rows, q * r) - cache.get(n_rows, q)
 
 
-def bdq_local(counts: np.ndarray, n_rows: int, cfg: ScoreConfig,
-              cache: RegretCache) -> float:
-    """Quotient Bayesian score: joint family marginal over parent-set marginal.
-
-    Each marginal treats the collapsed variable set as one categorical with a
-    symmetric Dirichlet(alpha, ..., alpha) prior over its full cell space.
-    """
-    a = cfg.bdq_alpha
-    num = _collapsed_marginal(counts.ravel(), counts.size, n_rows, a)
-    den = _collapsed_marginal(counts.sum(axis=1), counts.shape[0], n_rows, a)
-    return num - den
-
-
-def _collapsed_marginal(counts, m: int, n_rows: int, alpha: float) -> float:
+def _bdeu_cells(counts, cells, n_rows, cfg):
+    """BDeu with equivalent sample size cfg.bdeu_alpha: the a_jk = alpha /
+    (q r) cell term; unobserved cells contribute exactly 0."""
+    # scipy's gammaln, not math.lgamma: the two round differently, and the
+    # pinned scores depend on its rounding
     from scipy.special import gammaln
-    score = gammaln(m * alpha) - gammaln(m * alpha + n_rows)
-    score += (gammaln(alpha + counts) - gammaln(alpha)).sum()
-    return float(score)
+    a_jk = cfg.bdeu_alpha / cells
+    return gammaln(a_jk + counts) - gammaln(a_jk)
 
 
-# criterion name -> local score of one family's q x r count array
-_LOCAL = {"bic": bic_local, "bdeu": bdeu_local, "fnml": fnml_local,
-          "qnml": qnml_local, "bdq": bdq_local}
-CRITERIA = tuple(_LOCAL)
+def _bdeu_parent(totals, n_rows, cfg):
+    """BDeu's a_j = alpha / q term of the parent configurations."""
+    from scipy.special import gammaln
+    a_j = cfg.bdeu_alpha / len(totals)
+    return (gammaln(a_j) - gammaln(a_j + totals)).sum()
 
 
+def _no_penalty(totals, r, n_rows, cfg, cache):
+    return 0.0
+
+
+def _bdeu_join(cell_sum, parent, penalty):
+    return cell_sum + parent
+
+
+def _bdq_cells(counts, cells, n_rows, cfg):
+    """BDq: one symmetric Dirichlet(alpha) cell term of a collapsed
+    categorical, alpha = cfg.bdq_alpha (1/2 gives the Jeffreys prior)."""
+    from scipy.special import gammaln
+    return gammaln(cfg.bdq_alpha + counts) - gammaln(cfg.bdq_alpha)
+
+
+def _bdq_norm(m: int, n_rows: int, alpha: float):
+    """The normalizing term of a collapsed marginal over m cells."""
+    from scipy.special import gammaln
+    return gammaln(m * alpha) - gammaln(m * alpha + n_rows)
+
+
+def _bdq_parent(totals, n_rows, cfg):
+    """Collapsed marginal likelihood of the parent set, as one categorical
+    over its full cell space."""
+    return float(_bdq_norm(len(totals), n_rows, cfg.bdq_alpha)
+                 + _bdq_cells(totals, len(totals), n_rows, cfg).sum())
+
+
+def _bdq_penalty(totals, r, n_rows, cfg, cache):
+    """The normalizing term of the collapsed family over q r cells."""
+    return _bdq_norm(len(totals) * r, n_rows, cfg.bdq_alpha)
+
+
+def _bdq_join(cell_sum, parent, penalty):
+    """Quotient Bayesian score: joint family marginal over parent-set
+    marginal."""
+    return (penalty + cell_sum) - parent
+
+
+_LOGLIK = dict(cell=_xlogx_cells, parent=_xlogx_parent, join=_loglik_join)
+_CRITERIA = {
+    "bic": Criterion(penalty=_bic_penalty, **_LOGLIK),
+    "bdeu": Criterion(_bdeu_cells, _bdeu_parent, _no_penalty, _bdeu_join),
+    "fnml": Criterion(penalty=_fnml_penalty, **_LOGLIK),
+    "qnml": Criterion(penalty=_qnml_penalty, **_LOGLIK),
+    "bdq": Criterion(_bdq_cells, _bdq_parent, _bdq_penalty, _bdq_join),
+}
+CRITERIA = tuple(_CRITERIA)
+
+
+def criterion(name: str) -> Criterion:
+    """The two-part definition of a criterion named in CRITERIA."""
+    return _CRITERIA[name]
+
+
+# a score that is not finite is a DataError, so the operations that make
+# one stay quiet
+@np.errstate(invalid="ignore")
 def local_score(data: Dataset, child: int, parents, cfg: ScoreConfig,
                 cache: RegretCache | None = None) -> float:
     """Local score of one (child, parent set) family on the dataset.
@@ -130,8 +197,14 @@ def local_score(data: Dataset, child: int, parents, cfg: ScoreConfig,
     """
     if cache is None:
         cache = shared_cache(cfg.regret_method)
-    score = _LOCAL[cfg.criterion](contingency(data, child, parents),
-                                  data.n_rows, cfg, cache)
+    crit = _CRITERIA[cfg.criterion]
+    counts = contingency(data, child, parents)
+    totals = counts.sum(axis=1)
+    n_rows = data.n_rows
+    score = float(crit.join(
+        crit.cell(counts, counts.size, n_rows, cfg).sum(),
+        crit.parent(totals, n_rows, cfg),
+        crit.penalty(totals, counts.shape[1], n_rows, cfg, cache)))
     if not math.isfinite(score):
         raise DataError(f"{cfg.criterion} local score of "
                         f"{data.names[child]!r} is {score}, not finite")

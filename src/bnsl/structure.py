@@ -265,13 +265,6 @@ def mask_to_parents(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def parents_to_mask(parents) -> int:
-    mask = 0
-    for p in parents:
-        mask |= 1 << int(p)
-    return mask
-
-
 def dag_from_masks(masks, names=None) -> DagStructure:
     return DagStructure(len(masks), tuple(mask_to_parents(m) for m in masks),
                         names)

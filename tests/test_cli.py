@@ -216,6 +216,24 @@ def test_sample_needs_cpts(tmp_path, data_path):
     assert "cpts" in proc.stderr
 
 
+def test_non_utf8_input_is_a_data_error(tmp_path):
+    # a Latin-1 byte in a CSV cell, a network variable name and a spec
+    # value must exit 2 with the file named, not end in a traceback
+    csv_path = tmp_path / "latin1.csv"
+    csv_path.write_bytes(b"A,B\n\xe9,1\nx,0\n")
+    model = tmp_path / "latin1.json"
+    model.write_bytes(open(bundled_path("chain5.json"), "rb").read()
+                      .replace(b'"A"', b'"\xc0"'))
+    spec = tmp_path / "latin1_spec.json"
+    spec.write_bytes(b'{"kind": "shd-curve", "criteria": ["\xe9"]}')
+    for argv, path in ((("learn", "--data", csv_path), csv_path),
+                       (("sample", "--model", model, "--n", 5), model),
+                       (("bench", "--spec", spec), spec)):
+        proc = run_cli(*argv)
+        assert proc.returncode == 2, argv
+        assert f"{path}: not UTF-8 text" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
 def test_shd_hand_value(tmp_path):
     from bnsl.model import save_network
     chain = DagStructure(3, ((), (0,), (1,)), ("A", "B", "C"))

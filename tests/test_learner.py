@@ -1,14 +1,18 @@
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bnsl.dataset import Dataset
-from bnsl.errors import ResourceLimitError
+from bnsl import learner
+from bnsl.dataset import MAX_TABLE_CELLS, Dataset
+from bnsl.errors import DataError, ResourceLimitError
 from bnsl.learner import (_best_parents, _best_sinks, _compress_mask,
                           _expand_mask, _search, compute_local_scores,
                           learn_bruteforce, learn_exact)
+from bnsl.regret import METHODS
 from bnsl.scores import CRITERIA, ScoreConfig, local_score, total_score
 
 from conftest import random_dataset
@@ -97,13 +101,124 @@ def test_local_score_table_shape(rng):
                 math.comb(n - 1, k) for k in range(cap + 1))
             # differential oracle: every entry is exactly the per-family
             # score, with column bits over the other variables ascending
-            for child in range(n):
-                others = [v for v in range(n) if v != child]
-                for cm in np.flatnonzero(popcount <= cap):
-                    parents = tuple(v for k, v in enumerate(others)
-                                    if cm >> k & 1)
-                    assert table.scores[child, cm] == local_score(
-                        data, child, parents, cfg)
+            assert np.array_equal(table.scores,
+                                  _family_table(data, cfg, max_parents))
+
+
+def _family_table(data, cfg, max_parents=None):
+    """The local-score table rebuilt entry by entry from local_score."""
+    n = data.n_vars
+    cap = n - 1 if max_parents is None else min(max_parents, n - 1)
+    table = np.full((n, 1 << (n - 1)), -np.inf)
+    for child in range(n):
+        others = [v for v in range(n) if v != child]
+        for cm in range(1 << (n - 1)):
+            parents = tuple(v for k, v in enumerate(others) if cm >> k & 1)
+            if len(parents) <= cap:
+                table[child, cm] = local_score(data, child, parents, cfg)
+    return table
+
+
+@st.composite
+def scoring_cases(draw):
+    n = draw(st.integers(1, 5))
+    arities = draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
+    n_rows = draw(st.sampled_from([0, 1, 2, 3, 12, 80]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    rows = np.zeros((n_rows, n), dtype=np.int64)
+    for j, a in enumerate(arities):
+        rows[:, j] = rng.integers(0, a, n_rows)
+    if n > 1 and draw(st.booleans()):
+        # a duplicated column, folded into the copy's own arity
+        i, j = draw(st.permutations(range(n)))[:2]
+        rows[:, j] = rows[:, i] % arities[j]
+    if n_rows > 1 and draw(st.booleans()):
+        rows[n_rows // 2:] = rows[0]
+    # declared arities may be wider than the observed values
+    declared = [a + draw(st.integers(0, 2)) for a in arities]
+    data = Dataset(tuple(f"X{i}" for i in range(n)), declared, rows)
+    cfg = ScoreConfig(criterion=draw(st.sampled_from(CRITERIA)),
+                      regret_method=draw(st.sampled_from(METHODS)),
+                      bdeu_alpha=draw(st.sampled_from([1.0, 0.3, 9.5])),
+                      bdq_alpha=draw(st.sampled_from([0.5, 1.0, 4.0])))
+    return data, cfg, draw(st.sampled_from([None, 0, 1, 2]))
+
+
+@given(scoring_cases(), st.booleans())
+@settings(max_examples=200)
+def test_subset_table_equals_per_family_scores(case, gather):
+    data, cfg, max_parents = case
+    if cfg.criterion == "bic" and data.n_rows == 0:
+        return  # no BIC score exists; test_table_errors_match covers it
+    # both ways of summing a subset's cells in each family's order: one
+    # gather through a cached permutation, or one copy per child
+    limit = learner._GATHER_ENTRIES if gather else 0
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(learner, "_GATHER_ENTRIES", limit)
+        table = compute_local_scores(data, cfg, max_parents).scores
+    # exact equality: -inf exactly above the cap, every other entry the
+    # per-family float bit for bit
+    assert np.array_equal(table, _family_table(data, cfg, max_parents))
+
+
+def test_table_errors_match_per_family_errors():
+    rows = np.array([[0, 1], [1, 1], [1, 0]], dtype=np.int64)
+    empty = Dataset(("A", "B"), (2, 2), rows[:0])
+    bic = ScoreConfig(criterion="bic")
+    with pytest.raises(DataError, match="at least one data row"):
+        local_score(empty, 0, (), bic)
+    with pytest.raises(DataError, match="at least one data row"):
+        compute_local_scores(empty, bic)
+    # a tiny alpha passes ScoreConfig but overflows gammaln
+    data = Dataset(("A", "B"), (2, 2), rows)
+    tiny = ScoreConfig(criterion="bdeu", bdeu_alpha=1e-310)
+    with pytest.raises(DataError, match="not finite"):
+        local_score(data, 0, (1,), tiny)
+    with pytest.raises(DataError, match="not finite"):
+        compute_local_scores(data, tiny)
+    # a family over the dense-table guard: 300^3 cells within the cap.
+    # The table refuses it before allocating any count array
+    n = 4
+    wide = Dataset(tuple("ABCD"), (300,) * n, np.zeros((5, n), np.int64))
+    assert 300 ** 3 > MAX_TABLE_CELLS
+    with pytest.raises(ResourceLimitError):
+        local_score(wide, 0, (1, 2), ScoreConfig())
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError):
+            compute_local_scores(wide, ScoreConfig(), max_parents=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    # one parent fewer keeps every family at 300^2 cells
+    compute_local_scores(wide, ScoreConfig(), max_parents=1)
+
+
+def test_fourteen_variable_learn_time_and_table_memory():
+    # a binary chain with 20 % flips, N = 1000, qNML: the subset table
+    # counts 2^14 subsets, not 14 * 2^13 families, and keeps one index
+    # array per subset size rather than one per subset
+    n, n_rows = 14, 1000
+    rng = np.random.default_rng(14)
+    rows = np.zeros((n_rows, n), dtype=np.int64)
+    rows[:, 0] = rng.integers(0, 2, n_rows)
+    for j in range(1, n):
+        flip = rng.random(n_rows) < 0.2
+        rows[:, j] = np.where(flip, 1 - rows[:, j - 1], rows[:, j - 1])
+    data = Dataset(tuple(f"V{i}" for i in range(n)), (2,) * n, rows)
+    cfg = ScoreConfig(criterion="qnml")
+    start = time.perf_counter()
+    res = learn_exact(data, cfg)
+    assert time.perf_counter() - start < 3.0
+    assert res.network.arc_count() >= n - 1
+    tracemalloc.start()
+    try:
+        compute_local_scores(data, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 20
 
 
 def _reference_best_parents(scores):
@@ -156,6 +271,10 @@ def test_vectorized_sweeps_match_reference_loops(ties):
         assert np.array_equal(best_score, ref_score)
         ref_best, ref_sink = _reference_sinks(ref_score)
         assert np.array_equal(_best_sinks(best_score, popcount), ref_best)
+        # wide layers are scored in chunks; force several per layer
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(learner, "_SWEEP_CHUNK", 3)
+            assert np.array_equal(_best_sinks(best_score, popcount), ref_best)
         # the search breaks ties only while backtracking; it must pick the
         # oracles' sinks and parent sets, in the same order
         want = []

@@ -112,6 +112,15 @@ def test_cache_returns_identical_values():
     assert shared_cache("exact") is not shared_cache("szp2")
 
 
+def test_cache_array_lookup_matches_scalar_lookups():
+    cache = RegretCache("exact")
+    for counts in ([3, 1, 3, 40], [2, 2], [120, 1, 7, 0]):
+        counts = np.array(counts, dtype=np.int64)
+        for r in (1, 2, 5):
+            got = cache.get_many(counts, r)
+            assert got.tolist() == [regret_exact(int(n), r) for n in counts]
+    assert cache.get_many(np.zeros(0, dtype=np.int64), 3).size == 0
+
 def test_large_arguments_stay_finite():
     v = regret_exact(100000, 64)
     assert np.isfinite(v) and v > 0

@@ -60,8 +60,10 @@ class Criterion:
     count array over `cells` cells; the family sums it in its own order,
     child axis last. parent(totals, n_rows, cfg) is a term of the parent
     set's cell totals alone, and penalty(totals, r, n_rows, cfg, cache) one
-    of those totals and the child arity r. join(cell_sum, parent, penalty)
-    gives the score; it works elementwise on arrays of families.
+    of those totals and the child arity r. Both take a batch of parent sets
+    of one cell count, one row of totals each, and return one value per
+    row. join(cell_sum, parent, penalty) gives the score; it works
+    elementwise on arrays of families.
     """
 
     cell: Callable
@@ -76,7 +78,7 @@ def _xlogx_cells(counts, cells, n_rows, cfg):
 
 
 def _xlogx_parent(totals, n_rows, cfg):
-    return _xlogx_table(n_rows)[totals].sum()
+    return _xlogx_table(n_rows)[totals].sum(axis=1)
 
 
 def _loglik_join(cell_sum, parent, penalty):
@@ -89,16 +91,15 @@ def _bic_penalty(totals, r, n_rows, cfg, cache):
     """BIC: (q (r-1) / 2) ln N."""
     if n_rows < 1:
         raise DataError("BIC needs at least one data row")
-    return 0.5 * len(totals) * (r - 1) * math.log(n_rows)
+    return np.full(len(totals),
+                   0.5 * totals.shape[1] * (r - 1) * math.log(n_rows))
 
 
 def _fnml_penalty(totals, r, n_rows, cfg, cache):
-    """Factorized NML: reg(N_j, r) of every observed parent configuration j,
-    added one at a time in j order."""
-    seen = totals[totals > 0]
-    if not seen.size:
-        return 0.0
-    return float(np.cumsum(cache.get_many(seen, r))[-1])
+    """Factorized NML: reg(N_j, r) of every parent configuration j, added
+    one at a time in j order. reg(0, r) is 0.0, so an unobserved
+    configuration adds nothing and leaves the running sum's bits alone."""
+    return np.cumsum(cache.get_many(totals, r), axis=1)[:, -1]
 
 
 def _qnml_penalty(totals, r, n_rows, cfg, cache):
@@ -109,8 +110,9 @@ def _qnml_penalty(totals, r, n_rows, cfg, cache):
     taken from the full arity product, which is what makes the score exactly
     invariant under covered-arc reversal.
     """
-    q = len(totals)
-    return cache.get(n_rows, q * r) - cache.get(n_rows, q)
+    q = totals.shape[1]
+    return np.full(len(totals),
+                   cache.get(n_rows, q * r) - cache.get(n_rows, q))
 
 
 def _bdeu_cells(counts, cells, n_rows, cfg):
@@ -126,12 +128,12 @@ def _bdeu_cells(counts, cells, n_rows, cfg):
 def _bdeu_parent(totals, n_rows, cfg):
     """BDeu's a_j = alpha / q term of the parent configurations."""
     from scipy.special import gammaln
-    a_j = cfg.bdeu_alpha / len(totals)
-    return (gammaln(a_j) - gammaln(a_j + totals)).sum()
+    a_j = cfg.bdeu_alpha / totals.shape[1]
+    return (gammaln(a_j) - gammaln(a_j + totals)).sum(axis=1)
 
 
 def _no_penalty(totals, r, n_rows, cfg, cache):
-    return 0.0
+    return np.zeros(len(totals))
 
 
 def _bdeu_join(cell_sum, parent, penalty):
@@ -154,13 +156,15 @@ def _bdq_norm(m: int, n_rows: int, alpha: float):
 def _bdq_parent(totals, n_rows, cfg):
     """Collapsed marginal likelihood of the parent set, as one categorical
     over its full cell space."""
-    return float(_bdq_norm(len(totals), n_rows, cfg.bdq_alpha)
-                 + _bdq_cells(totals, len(totals), n_rows, cfg).sum())
+    q = totals.shape[1]
+    return (_bdq_norm(q, n_rows, cfg.bdq_alpha)
+            + _bdq_cells(totals, q, n_rows, cfg).sum(axis=1))
 
 
 def _bdq_penalty(totals, r, n_rows, cfg, cache):
     """The normalizing term of the collapsed family over q r cells."""
-    return _bdq_norm(len(totals) * r, n_rows, cfg.bdq_alpha)
+    return np.full(len(totals),
+                   _bdq_norm(totals.shape[1] * r, n_rows, cfg.bdq_alpha))
 
 
 def _bdq_join(cell_sum, parent, penalty):
@@ -199,12 +203,13 @@ def local_score(data: Dataset, child: int, parents, cfg: ScoreConfig,
         cache = shared_cache(cfg.regret_method)
     crit = _CRITERIA[cfg.criterion]
     counts = contingency(data, child, parents)
-    totals = counts.sum(axis=1)
+    # the parent set's totals as a batch of one row
+    totals = counts.sum(axis=1)[None]
     n_rows = data.n_rows
     score = float(crit.join(
         crit.cell(counts, counts.size, n_rows, cfg).sum(),
-        crit.parent(totals, n_rows, cfg),
-        crit.penalty(totals, counts.shape[1], n_rows, cfg, cache)))
+        crit.parent(totals, n_rows, cfg)[0],
+        crit.penalty(totals, counts.shape[1], n_rows, cfg, cache)[0]))
     if not math.isfinite(score):
         raise DataError(f"{cfg.criterion} local score of "
                         f"{data.names[child]!r} is {score}, not finite")

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bnsl import learner
 from bnsl.dataset import MAX_TABLE_CELLS, Dataset
@@ -121,9 +121,13 @@ def _family_table(data, cfg, max_parents=None):
 
 @st.composite
 def scoring_cases(draw):
-    n = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 6))
     arities = draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
-    n_rows = draw(st.sampled_from([0, 1, 2, 3, 12, 80]))
+    if draw(st.booleans()):
+        # one arity throughout, so many subsets share an arity sequence
+        # and are scored as the rows of one batch
+        arities = [arities[0]] * n
+    n_rows = draw(st.sampled_from([0, 1, 2, 3, 12, 80, 500]))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     rows = np.zeros((n_rows, n), dtype=np.int64)
     for j, a in enumerate(arities):
@@ -144,9 +148,19 @@ def scoring_cases(draw):
     return data, cfg, draw(st.sampled_from([None, 0, 1, 2]))
 
 
-@given(scoring_cases(), st.booleans())
+def _batched_case():
+    """Four ternary variables, N = 80: each batch holds many subsets whose
+    float sums depend on the order their cells are added in."""
+    rows = np.random.default_rng(0).integers(0, 3, (80, 4))
+    return (Dataset(tuple("ABCD"), (3,) * 4, rows),
+            ScoreConfig(criterion="bdeu"), None)
+
+
+@given(scoring_cases(), st.booleans(),
+       st.sampled_from([2, 12, 64, learner._BLOCK_CELLS]))
+@example(_batched_case(), True, learner._BLOCK_CELLS)
 @settings(max_examples=200)
-def test_subset_table_equals_per_family_scores(case, gather):
+def test_subset_table_equals_per_family_scores(case, gather, block_cells):
     data, cfg, max_parents = case
     if cfg.criterion == "bic" and data.n_rows == 0:
         return  # no BIC score exists; test_table_errors_match covers it
@@ -155,10 +169,55 @@ def test_subset_table_equals_per_family_scores(case, gather):
     limit = learner._GATHER_ENTRIES if gather else 0
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(learner, "_GATHER_ENTRIES", limit)
+        # a budget of a few cells splits every block, down to blocks of one
+        # subset; 12 and 64 leave small blocks joined with later variables,
+        # counted in one batch when they share a shape
+        mp.setattr(learner, "_BLOCK_CELLS", block_cells)
         table = compute_local_scores(data, cfg, max_parents).scores
     # exact equality: -inf exactly above the cap, every other entry the
     # per-family float bit for bit
     assert np.array_equal(table, _family_table(data, cfg, max_parents))
+
+
+def test_tall_table_equals_per_family_scores():
+    # chain5 at the harness's largest N: block counts and summed marginals
+    # reach their largest values here, and fNML sums the regrets of every
+    # parent configuration, where reg(0, r) = 0.0 must leave the sum alone
+    from bnsl.bench import bundled_path
+    from bnsl.model import load_network, sample
+
+    data = sample(load_network(bundled_path("chain5.json")), 10_000, seed=3)
+    configs = [ScoreConfig(criterion=c) for c in CRITERIA]
+    configs += [ScoreConfig(criterion="fnml", regret_method=m)
+                for m in ("exact", "szp-small-r")]
+    for cfg in configs:
+        assert np.array_equal(compute_local_scores(data, cfg).scores,
+                              _family_table(data, cfg)), cfg
+
+
+def test_capped_blocks_are_counted_in_batches():
+    # a cap of two parents over twelve mixed-arity variables splits the
+    # subsets into many small blocks; blocks of one shape share one count,
+    # so there are far fewer counts than the 299 subsets within the cap
+    rng = np.random.default_rng(12)
+    arities = (2, 3, 2, 2, 4, 2, 3, 2, 2, 2, 3, 2)
+    rows = np.stack([rng.integers(0, a, 300) for a in arities], axis=1)
+    data = Dataset(tuple(f"V{i}" for i in range(12)), arities, rows)
+    marginals = learner._marginals
+    counts = []
+
+    def counted(*args):
+        counts.append(args)
+        return marginals(*args)
+
+    for crit in CRITERIA:
+        cfg = ScoreConfig(criterion=crit)
+        counts.clear()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(learner, "_marginals", counted)
+            table = compute_local_scores(data, cfg, max_parents=2).scores
+        assert len(counts) < 30
+        assert np.array_equal(table, _family_table(data, cfg, 2))
 
 
 def test_table_errors_match_per_family_errors():
@@ -197,8 +256,8 @@ def test_table_errors_match_per_family_errors():
 
 def test_fourteen_variable_learn_time_and_table_memory():
     # a binary chain with 20 % flips, N = 1000, qNML: the subset table
-    # counts 2^14 subsets, not 14 * 2^13 families, and keeps one index
-    # array per subset size rather than one per subset
+    # counts blocks of subsets, not 14 * 2^13 families, and holds one
+    # batch's marginal tensor of at most _BLOCK_CELLS cells at a time
     n, n_rows = 14, 1000
     rng = np.random.default_rng(14)
     rows = np.zeros((n_rows, n), dtype=np.int64)

@@ -15,8 +15,8 @@ from scipy.special import gammaln
 
 from bnsl.dataset import Dataset, contingency, counts_loglik
 from bnsl.errors import DataError
-from bnsl.regret import RegretCache, regret_exact
-from bnsl.scores import (CRITERIA, ScoreConfig, local_score,
+from bnsl.regret import METHODS, RegretCache, regret_exact
+from bnsl.scores import (CRITERIA, ScoreConfig, criterion, local_score,
                          per_variable_scores, total_score)
 from bnsl.structure import DagStructure, is_covered_arc, reverse_covered_arc
 
@@ -104,6 +104,27 @@ def test_fnml_hand_value():
     mll = naive_mll(data, 0, (1,))
     penalty = regret_exact(2, 2) + regret_exact(3, 2)
     assert got == pytest.approx(mll - penalty, abs=1e-12)
+
+
+def test_fnml_penalty_adds_observed_configurations_only():
+    # the penalty adds reg(N_j, r) over every parent configuration, one
+    # batch row per parent set; reg(0, r) is 0.0 for every method, so the
+    # running sum must equal, bit for bit, the sum over observed ones
+    rng = np.random.default_rng(11)
+    totals = rng.integers(0, 10_000, (6, 24))
+    totals[rng.random(totals.shape) < 0.4] = 0
+    totals[0] = 0
+    fnml = criterion("fnml")
+    for method in METHODS:
+        cache = RegretCache(method)
+        for r in (2, 5):
+            got = fnml.penalty(totals, r, 0, ScoreConfig(), cache)
+            for row, value in zip(totals.tolist(), got.tolist()):
+                want = 0.0
+                for count in row:
+                    if count:
+                        want += cache.get(count, r)
+                assert value == want
 
 
 def test_qnml_uses_full_arity_products():

@@ -12,8 +12,15 @@ those of its subset, and every criterion's remaining terms depend on the
 parent set and the child arity alone. Subsets are counted in blocks, and
 blocks of one shape in batches: one bincount of a batch's joint index,
 then every marginal by exact integer sums, the cached-statistics idea of
-AD-trees (Moore & Lee, JAIR 1998). The subsets of a batch that share an
-arity sequence are scored together, one numpy call per term.
+AD-trees (Moore & Lee, JAIR 1998). The criterion's cell terms are
+evaluated once per batch, and the sums of a batch's rows that share a cell
+count are taken with one numpy call each.
+
+The index work of a learn depends on its shape alone (n, the arities and
+the cap), not on the data: where each family's cells sit in a block, where
+its sums go in the table, which subsets the sink sweep meets. It is built
+once per shape with whole-array steps and kept in a plan cache of bounded
+bytes (_PLANS), so learns of one shape share it.
 
 The two search stages keep scores only; ties are resolved once, during
 backtracking (see _search).
@@ -23,8 +30,10 @@ from __future__ import annotations
 
 import math
 import time
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -83,12 +92,20 @@ def compute_local_scores(data: Dataset, cfg: ScoreConfig,
     (b - 1, B + {b - 1}) while its marginal tensor exceeds _BLOCK_CELLS, or
     while the subsets within the cap fill less than 1/_CAPPED_FILL of it; a
     B larger than cap + 1 is dropped, and one of cap + 1 is counted alone.
-    Blocks of one b whose sets B share their arities are counted together,
-    one after another in one tensor within the same budget, so a small cap,
-    which leaves many small blocks, costs few numpy calls. The subsets of
-    one arity sequence in such a batch are scored together, one row each:
-    their cell terms are summed once per child in that family's own order,
-    and when |T| <= cap their parent-set terms are kept as well. Each entry
+    Blocks of one shape (b and the arities of B) are counted together, as
+    many in one tensor as fit the same budget, so a small cap, which leaves
+    many small blocks, costs few numpy calls.
+
+    The criterion's cell term is evaluated once over a batch's tensor. The
+    shape's cached plan (see _block_plan) groups its rows by cell count,
+    not by arity sequence: one row per family, its cells in that family's
+    order, and one per parent set within the cap, its cells in natural
+    order. In a small shape one take and one row sum per cell count give
+    every family sum and every parent set's term sum; a large one takes its
+    subsets' cells per arity sequence, then each row's order. A subset
+    counted alone (b = 0) is summed child by child. A parent set's term is
+    read from its own term sum (see scores.Criterion), and the sums, parent
+    terms and penalties are joined for all children at once. Each entry
     equals local_score of its family bit for bit.
     """
     n = data.n_vars
@@ -98,7 +115,7 @@ def compute_local_scores(data: Dataset, cfg: ScoreConfig,
         raise ResourceLimitError(
             f"{n} variables exceed the subset search limit of {MAX_VARS}")
     cap = n - 1 if max_parents is None else min(max_parents, n - 1)
-    arities = data.arities
+    arities = tuple(data.arities)
     largest = math.prod(sorted(arities, reverse=True)[:cap + 1])
     if largest > MAX_TABLE_CELLS:
         raise ResourceLimitError(
@@ -109,8 +126,8 @@ def compute_local_scores(data: Dataset, cfg: ScoreConfig,
     n_rows = data.n_rows
     child_arities = sorted(set(arities))
     half = 1 << (n - 1)
-    popcount = _popcounts(n)
-    # per parent set P: its parent term, and its penalty per child arity
+    # per parent set P: the sum of its cell terms in natural order, and its
+    # penalty per child arity
     parent = np.zeros(2 * half)
     penalty = np.zeros((len(child_arities), 2 * half))
     scores = np.full((n, half), -np.inf)
@@ -131,93 +148,135 @@ def compute_local_scores(data: Dataset, cfg: ScoreConfig,
     for v in range(top):
         prefix = prefix * arities[v] + columns[v]
 
-    def count(b, bdims, batch):
+    def count(b, bdims, batch, plan):
         """Count and score a batch of blocks (b, B) whose sets B have the
-        arities bdims, given as (B's index, B's mask, the table position of
-        each child of B less A's bits). Block i's joint index is offset by
-        i times the cells of one block, so one bincount counts them all,
-        one block after another."""
+        arities bdims, given as B's variables ascending. Block i's joint
+        index is offset by i times the cells of one block, so one bincount
+        counts them all, one block after another."""
         m = len(batch)
-        low = tuple(arities[:b])
+        low = arities[:b]
         bcells = math.prod(bdims)
         if b < top:
             joint = prefix // math.prod(arities[b:top])
         else:
             joint = prefix
-        bmasks = 0
+        bvars = np.array(batch, dtype=np.int64).reshape(m, -1)
+        bmasks = (1 << bvars).sum(axis=1)
         if bdims:
-            bindex, bmasks, bpos = zip(*batch)
+            index = columns[bvars[:, 0]]
+            for j in range(1, len(bdims)):
+                index = index * bdims[j] + columns[bvars[:, j]]
             size = math.prod(low) * bcells
-            index = np.stack(bindex)
             index += np.arange(0, m * size, size)[:, None]
             if b:
                 index += joint * bcells
             joint = index.reshape(-1)
-            bmasks = np.array(bmasks)[:, None]
-            # a child of B sees A's bits where they are
-            bpos = np.array(bpos)[:, None]
+            # per block, what the plan's table positions lack: a child of A
+            # sees B's bits one place lower, a parent set is A + B, and a
+            # child of B sees A's bits where they are
+            offsets = np.column_stack(
+                (bmasks >> 1, bmasks,
+                 bvars * half + _compress_mask(bmasks[:, None], bvars)))
         cube = _marginals(joint, m, low, bcells)
-        for dims, amasks, cells, members, compressed in _block_plan(low):
-            dims += bdims
-            if len(dims) > cap + 1:
-                continue
-            counts = np.take(cube, cells, axis=1).reshape(m * len(amasks), -1)
-            subsets = (amasks | bmasks).reshape(-1)
-            if len(dims) <= cap:
-                parent[subsets] = crit.parent(counts, n_rows, cfg)
+        if not b:
+            terms = crit.cell(cube, bcells, n_rows, cfg).reshape(m, *bdims)
+            for j in range(len(bdims)):
+                flat[offsets[:, 2 + j]] = np.moveaxis(
+                    terms, 1 + j, -1).reshape(m, -1).sum(axis=-1)
+            if len(bdims) <= cap:
+                parent[bmasks] = terms.reshape(m, -1).sum(axis=-1)
+                totals = cube.reshape(m, -1)
                 for i, r in enumerate(child_arities):
-                    penalty[i, subsets] = crit.penalty(counts, r, n_rows,
-                                                       cfg, cache)
-            if dims:
-                pos = members * half + compressed
-                if bdims:
-                    # a child of A sees B's bits one place lower
-                    pos = np.concatenate(
-                        (pos + (bmasks >> 1)[:, :, None],
-                         amasks[:, None] + bpos), axis=2)
-                flat[pos.reshape(len(counts), -1)] = _family_sums(
-                    crit.cell(counts, counts.shape[1], n_rows, cfg), dims)
+                    penalty[i, bmasks] = crit.penalty(totals, r, n_rows, cfg,
+                                                      cache)
+            return
+        terms = crit.cell(cube, plan.cells, n_rows, cfg)
+        # positions pick single cells of a block's tensor, or with orders,
+        # chunks of B's cells
+        cells = terms.reshape(m, -1)
+        sums = np.empty((m, plan.rows))
+        pens = np.empty((len(child_arities), m, len(plan.pdest)))
+        start = 0
+        for k, parts, first, parents in plan.groups:
+            for rows, orders in parts:
+                # one take holds at most _GATHER_ENTRIES entries, or one row
+                width = k if orders is None else k * len(orders)
+                step = max(1, _GATHER_ENTRIES // (m * width))
+                for row in range(0, len(rows), step):
+                    if orders is None:
+                        part = np.take(cells, rows[row:row + step], axis=1)
+                    else:
+                        part = np.take(np.take(
+                            terms, rows[row:row + step], axis=1).reshape(
+                                -1, k), orders, axis=1)
+                    part = part.reshape(m, -1, k)
+                    end = start + part.shape[1]
+                    part.sum(axis=-1, out=sums[:, start:end])
+                    start = end
+            if len(parents):
+                totals = np.take(cube, parents, axis=1).reshape(-1, k)
+                for i, r in enumerate(child_arities):
+                    pens[i, :, first:first + len(parents)] = crit.penalty(
+                        totals, r, n_rows, cfg, cache).reshape(m, -1)
+        if bdims:
+            fdest = plan.fdest + offsets[:, plan.fsel]
+            pdest = plan.pdest + bmasks[:, None]
+        else:
+            fdest, pdest = plan.fdest[None], plan.pdest[None]
+        flat[fdest] = sums[:, plan.fcols]
+        parent[pdest] = sums[:, plan.pcols]
+        penalty[:, pdest] = pens
 
-    # blocks ready to count, per (b, arity sequence of B)
-    ready = {}
-    # (b, variables of B ascending, their arities, index of B or None when
-    # B is empty)
-    blocks = [(n, (), (), None)]
+    # the blocks of each shape (b, arities of B), as B's variables
+    shapes = {}
+    blocks = [(n, ())]
     while blocks:
-        b, bvars, bdims, bindex = blocks.pop()
+        b, bvars = blocks.pop()
         if len(bvars) > cap:
             b = 0  # only B itself is admissible
-        bcells = math.prod(bdims)
+        bdims = tuple(arities[v] for v in bvars)
         room = cap + 1 - len(bvars)
-        if b and (widths[b] * bcells > _BLOCK_CELLS or room < b and
+        if b and (widths[b] * math.prod(bdims) > _BLOCK_CELLS or room < b and
                   _CAPPED_FILL * capped[b][room] < widths[b]):
             v = b - 1
-            blocks.append((v, bvars, bdims, bindex))
+            blocks.append((v, bvars))
             if room:
-                index = columns[v] * bcells
-                if bindex is not None:
-                    index += bindex
-                blocks.append((v, (v, *bvars), (arities[v], *bdims), index))
+                blocks.append((v, (v, *bvars)))
             continue
-        bmask = sum(1 << v for v in bvars)
-        batch = ready.setdefault((b, bdims), [])
-        batch.append((bindex, bmask,
-                      [v * half + _compress_mask(bmask, v) for v in bvars]))
+        shapes.setdefault((b, bdims), []).append(bvars)
+    for (b, bdims), group in shapes.items():
         # a batch's tensor and its stacked index stay within the budget
-        if (len(batch) + 1) * max(widths[b] * bcells, n_rows) > _BLOCK_CELLS:
-            count(b, bdims, ready.pop((b, bdims)))
-    for (b, bdims), batch in ready.items():
-        count(b, bdims, batch)
-    admissible = np.flatnonzero(popcount[:half] <= cap)
-    for c in range(n):
-        p = _expand_mask(admissible, c)
-        row = crit.join(scores[c, admissible], parent[p],
-                        penalty[child_arities.index(arities[c]), p])
-        bad = np.flatnonzero(~np.isfinite(row))
-        if bad.size:
+        step = max(1, _BLOCK_CELLS // max(widths[b] * math.prod(bdims),
+                                          n_rows))
+        plan = None
+        if b:
+            plan = _block_plan(n, arities[:b], bdims,
+                               min(cap, b + len(bdims)))
+        for start in range(0, len(group), step):
+            count(b, bdims, group[start:start + step], plan)
+
+    rank = np.searchsorted(child_arities, arities)
+    cells = _set_cells(arities)
+    admissible, chunks = _join_plan(n, cap)
+    for c, sets in chunks:
+        rows = slice(c, c + len(sets))
+        if admissible is None:
+            before = scores[rows]
+        else:
+            before = scores[rows, admissible]
+        row = crit.join(before,
+                        crit.parent(parent[sets], cells[sets], n_rows, cfg),
+                        penalty[rank[rows, None], sets])
+        bad = ~np.isfinite(row)
+        if bad.any():
+            i, j = np.argwhere(bad)[0]
             raise DataError(f"{cfg.criterion} local score of "
-                            f"{data.names[c]!r} is {row[bad[0]]}, not finite")
-        scores[c, admissible] = row
+                            f"{data.names[c + i]!r} is {row[i, j]}, not "
+                            "finite")
+        if admissible is None:
+            scores[rows] = row
+        else:
+            scores[rows, admissible] = row
     scores.flags.writeable = False
     return LocalScoreTable(n, scores, max_parents)
 
@@ -230,6 +289,50 @@ _BLOCK_CELLS = 1 << 18
 # other, 1/16 ahead at cap 3-4; 1/128 up to 1.5x slower, and no split on
 # fill 2-3x slower
 _CAPPED_FILL = 16
+# one gather of sums or local scores holds at most this many entries, or
+# one row of them
+_GATHER_ENTRIES = 1 << 17
+# every cached index plan together holds at most this many bytes
+_PLAN_BYTES = 1 << 25
+
+
+class _PlanCache:
+    """Index plans by key, least recently used first, kept while all of them
+    fit _PLAN_BYTES; a plan larger than that is built on every use."""
+
+    def __init__(self):
+        self.plans = OrderedDict()
+        self.nbytes = 0
+
+    def get(self, key, build):
+        if key in self.plans:
+            self.plans.move_to_end(key)
+            return self.plans[key][0]
+        plan = build()
+        # the bytes of every array a plan holds, or holds a view of, once
+        owners = {}
+        for part in _arrays(plan):
+            while part.base is not None:
+                part = part.base
+            owners[id(part)] = part.nbytes
+        size = sum(owners.values())
+        if size <= _PLAN_BYTES:
+            while self.nbytes + size > _PLAN_BYTES:
+                self.nbytes -= self.plans.popitem(last=False)[1][1]
+            self.plans[key] = plan, size
+            self.nbytes += size
+        return plan
+
+
+def _arrays(plan):
+    if isinstance(plan, np.ndarray):
+        yield plan
+    elif isinstance(plan, (tuple, list)):
+        for part in plan:
+            yield from _arrays(part)
+
+
+_PLANS = _PlanCache()
 
 
 def _marginals(joint: np.ndarray, blocks: int, low: tuple[int, ...],
@@ -259,87 +362,174 @@ def _marginals(joint: np.ndarray, blocks: int, low: tuple[int, ...],
     return cube.reshape(blocks, -1, bcells)
 
 
-@lru_cache(maxsize=16)
-def _block_plan(low: tuple[int, ...]) -> tuple:
-    """Where each subset A of the first b variables sits in a block's
-    marginal tensor, grouped by A's arity sequence.
+class _BlockPlan(NamedTuple):
+    """Where every row of a block shape's sums comes from and goes to.
 
-    low holds the arities of the first b variables; the tensor has axis
-    lengths r + 1 for them, slot r holding the sum over the axis. A cell
-    belongs to the subset of the axes where it sits below the sum slot, so
-    every cell belongs to exactly one A, and A's cells in increasing
-    position are its count array, axes ascending. One entry per arity
-    sequence: (its arities, the masks A ascending, their cell positions one
-    row each, their variables ascending one row each, and A's compressed
-    mask for each of those variables as child).
+    Rows are grouped by cell count k; groups holds, per k, (k, the parts
+    that give its rows' sums in column order, the first parent row's
+    column among all parent rows, and the parent sets' cells). A part is
+    (a few subsets' cells in natural order, one row each, and the orders
+    that make their rows: each child's family order, then the parent set's
+    own order when it is within the cap); there a position picks one cell
+    of the first b axes with all of B's cells after it. A small shape
+    composes each cell count's parts into one, (its rows, None), with one
+    position per tensor cell. A family row's column is in fcols and goes to
+    table position fdest plus the block's offset fsel (see count), a parent
+    row's column is in pcols and goes to parent set pdest plus B's mask.
+    cells holds the cells of each tensor cell's subset, for criteria whose
+    cell terms depend on it.
     """
-    b = len(low)
-    owner = np.zeros([r + 1 for r in low], dtype=np.int64)
-    for i, r in enumerate(low):
-        shape = [1] * b
-        shape[i] = r + 1
-        owner |= (np.arange(r + 1) < r).astype(np.int64).reshape(shape) << i
-    owner = owner.reshape(-1)
-    order = np.argsort(owner, kind="stable")
-    sizes = np.bincount(owner, minlength=1 << b)
-    starts = np.cumsum(sizes) - sizes
+
+    cells: np.ndarray
+    rows: int
+    groups: tuple
+    fdest: np.ndarray
+    fsel: np.ndarray
+    fcols: np.ndarray
+    pdest: np.ndarray
+    pcols: np.ndarray
+
+
+def _block_plan(n: int, low: tuple[int, ...], bdims: tuple[int, ...],
+                cap: int) -> _BlockPlan:
+    """The cached plan of blocks (b, B) of n variables: low holds the
+    arities of the first b >= 1 variables, bdims those of B; families have
+    at most cap + 1 variables, parent sets at most cap."""
+    return _PLANS.get(("block", n, low, bdims, cap),
+                      lambda: _build_block_plan(n, low, bdims, cap))
+
+
+def _build_block_plan(n, low, bdims, cap):
+    """A block's tensor has axis lengths r + 1 for the first b variables,
+    slot r holding the sum over the axis, then B's cells. A cell belongs to
+    the subset A of the axes where it sits below the sum slot, joined with
+    B, so every cell belongs to exactly one subset, and A's cells in
+    increasing position are its count array, axes ascending, each followed
+    by B's cells.
+    """
+    b, s = len(low), len(bdims)
+    half = 1 << (n - 1)
+    bcells = math.prod(bdims)
+    # the cells of each tensor cell's subset, built from the last axis
+    cells = np.ones(1, dtype=np.int64)
+    for r in reversed(low):
+        cells = (np.where(np.arange(r + 1) < r, r, 1)[:, None]
+                 * cells).ravel()
+    masks = np.arange(1 << b)
+    bits = masks[:, None] >> np.arange(b) & 1
+    size = bits.sum(axis=1) + s
+    count = np.where(bits, low, 1).prod(axis=1) * bcells
     # each arity sequence as the digits 1..d of one base d + 1 integer, d
     # the distinct arities; while the tensor fits _BLOCK_CELLS the key stays
     # below 2^36
-    masks = np.arange(1 << b)
     digits = {r: d for d, r in enumerate(sorted(set(low)), 1)}
     key = np.zeros(1 << b, dtype=np.int64)
     for i, r in enumerate(low):
-        key = np.where(masks >> i & 1, key * (len(digits) + 1) + digits[r],
-                       key)
-    masks = np.argsort(key, kind="stable")
+        key = np.where(bits[:, i], key * (len(digits) + 1) + digits[r], key)
+    # the subsets within the cap, by cell count, then arity sequence, then
+    # mask; each has one row per child, A's then B's, then one for its
+    # parent set when that is within the cap
+    masks = masks[size <= cap + 1]
+    masks = masks[np.lexsort((key[masks], count[masks]))]
+    size, parent = size[masks], size[masks] <= cap
+    span = size + parent
+    start = np.cumsum(span) - span
+    row, member = np.nonzero(bits[masks])
+    nth = np.arange(len(row)) - np.searchsorted(row, row)
+    fcols = np.concatenate((start[row] + nth, (
+        (start + size - s)[:, None] + np.arange(s)).ravel()))
+    fdest = np.concatenate((member * half + _compress_mask(masks[row], member),
+                            np.repeat(masks, s)))
+    fsel = np.concatenate((np.zeros_like(row), np.tile(np.arange(2, s + 2),
+                                                       len(masks))))
+    # the tensor position, in chunks of bcells cells, of each subset's first
+    # cell, and per axis the step between positions
+    step = np.array([math.prod(r + 1 for r in low[i + 1:]) for i in range(b)],
+                    dtype=np.int64)
+    first = (1 - bits[masks]) @ (np.array(low, dtype=np.int64) * step)
+    # a small shape composes its rows, one position per cell, so one take
+    # per cell count gives all their sums
+    small = (count[masks] * span).sum() <= _BLOCK_CELLS
+    groups = {}
     bounds = np.flatnonzero(np.diff(key[masks])) + 1
-    plan = []
-    for group in np.split(masks, bounds):
+    for group, base, own in zip(np.split(masks, bounds),
+                                np.split(first, bounds),
+                                np.split(parent, bounds)):
         dims = tuple(r for i, r in enumerate(low) if group[0] >> i & 1)
-        cells = starts[group][:, None] + np.arange(math.prod(dims))
-        members = np.nonzero(group[:, None] >> np.arange(b) & 1)[1]
-        members = members.reshape(len(group), len(dims))
-        plan.append((dims, group, order[cells], members,
-                     _compress_mask(group[:, None], members)))
-    return tuple(plan)
+        members = np.nonzero(bits[group])[1].reshape(len(group), -1)
+        # each subset's cells in natural order, one row each, in chunks of
+        # B's cells
+        rows = base[:, None] + step[members] @ np.indices(
+            dims, dtype=np.int64).reshape(len(dims), math.prod(dims))
+        orders = _orders(dims + bdims, bool(own[0]))
+        k = orders.shape[1]
+        if small:
+            natural = (rows[:, :, None] * bcells + np.arange(bcells)).reshape(
+                len(group), k)
+            orders = np.take(natural, orders, axis=1).reshape(-1, k)
+        groups.setdefault(k, []).append((rows, orders, own[0]))
+    plan = []
+    npar = 0
+    for k in sorted(groups):
+        parts = groups[k]
+        parents = np.concatenate([rows for rows, _, own in parts if own]
+                                 or [np.zeros((0, k // bcells), np.int64)])
+        if small:
+            parts = [(np.concatenate([rows for _, rows, _ in parts]), None)]
+        else:
+            # a part within the cap reads its rows from the parent rows
+            at = np.cumsum([len(rows) * own for rows, _, own in parts])
+            parts = [(parents[end - len(rows):end] if own else rows, orders)
+                     for (rows, orders, own), end in zip(parts, at)]
+        plan.append((k, parts, npar, parents))
+        npar += len(parents)
+    return _BlockPlan(cells=(cells * bcells).astype(np.int32)[:, None],
+                      rows=int(span.sum()), groups=tuple(plan), fdest=fdest,
+                      fsel=fsel, fcols=fcols, pdest=masks[parent],
+                      pcols=(start + span - 1)[parent])
 
 
-# a family-order gather holds at most this many entries (rows x children x
-# cells); a subset whose own children x cells exceed it sums child by child
-_GATHER_ENTRIES = 1 << 17
-
-
-def _family_sums(terms: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
-    """Per row (subset) and child, the sum of its cell terms in that
-    family's order.
-
-    terms holds one row per subset, indexed mixed-radix over the subset's
-    variables ascending, with axis lengths dims. Child i sums with axis i
-    moved last, the layout of dataset.contingency, so each sum is the
-    family's own 1-D float sum: the last-axis sum of a C-contiguous array is
-    bitwise that same sum. terms[:, order] is not C-contiguous, and its
-    sums can differ in the last bits.
-    """
-    rows, cells = terms.shape
-    k = len(dims)
-    if k * cells > _GATHER_ENTRIES:
-        return np.array([[np.moveaxis(cube, i, -1).ravel().sum()
-                          for i in range(k)]
-                         for cube in terms.reshape(rows, *dims)])
-    orders = _family_orders(dims)
-    step = _GATHER_ENTRIES // (k * cells)
-    return np.concatenate([
-        np.take(terms[start:start + step], orders, axis=1).sum(axis=-1)
-        for start in range(0, rows, step)])
-
-
-@lru_cache(maxsize=32)
-def _family_orders(dims: tuple[int, ...]) -> np.ndarray:
-    """Row i lists a subset's cells in the family order of its child i."""
+def _orders(dims: tuple[int, ...], own: bool) -> np.ndarray:
+    """Row i lists the cells of a count array with axis lengths dims in the
+    family order of its child i, axis i moved last; with own, one more row
+    lists them in natural order."""
+    t = len(dims)
     cube = np.arange(math.prod(dims)).reshape(dims)
-    return np.stack([np.moveaxis(cube, i, -1).ravel()
-                     for i in range(len(dims))])
+    orders = np.empty((t + own, cube.size), dtype=np.int64)
+    for i in range(t):
+        axes = (*range(i), *range(i + 1, t), i)
+        orders[i].reshape([dims[a] for a in axes])[...] = cube.transpose(axes)
+    if own:
+        orders[t] = cube.ravel()
+    return orders
+
+
+def _set_cells(arities: tuple[int, ...]) -> np.ndarray:
+    """The cells of every variable subset, indexed by its mask."""
+    def build():
+        cells = np.ones(1, dtype=np.int64)
+        for r in arities:
+            cells = np.concatenate((cells, cells * r))
+        return cells
+    return _PLANS.get(("cells", arities), build)
+
+
+def _join_plan(n: int, cap: int):
+    """The admissible parent-set columns (None: all of them), and per chunk
+    of children, (first child, each child's parent sets as masks over all
+    variables). A chunk holds at most _GATHER_ENTRIES entries, or one
+    child's."""
+    half = 1 << (n - 1)
+    admissible = None
+    columns = np.arange(half)
+    if cap < n - 1:
+        admissible = columns = np.flatnonzero(_popcounts(n)[:half] <= cap)
+    step = max(1, _GATHER_ENTRIES // len(columns))
+    chunks = ((c, _expand_mask(columns, np.arange(c, min(c + step, n))[:, None]))
+              for c in range(0, n, step))
+    if n * len(columns) * 8 > _PLAN_BYTES:
+        return admissible, chunks
+    return _PLANS.get(("join", n, cap), lambda: (admissible, list(chunks)))
 
 
 @lru_cache(maxsize=4)
@@ -383,23 +573,41 @@ def _best_parents(scores: np.ndarray) -> np.ndarray:
 _SWEEP_CHUNK = 1 << 13
 
 
-def _best_sinks(best_score: np.ndarray, popcount: np.ndarray) -> np.ndarray:
+def _sweep_plan(n: int):
+    """Per chunk of subsets w, one popcount layer after another: w, w
+    without each sink s (row s), and the index of w's best parent score for
+    s in the flattened n x 2^(n-1) best-parent table."""
+    half = 1 << (n - 1)
+    popcount = _popcounts(n)
+    sinks = np.arange(n)[:, None]
+
+    def chunks():
+        for k in range(1, n + 1):
+            layer = np.flatnonzero(popcount == k)
+            for start in range(0, len(layer), _SWEEP_CHUNK):
+                w = layer[start:start + _SWEEP_CHUNK]
+                yield (w, w ^ (1 << sinks),
+                       sinks * half + _compress_mask(w, sinks))
+    # w, and n rows each of rest and index, over every subset
+    if (2 * n + 1) * 8 << n > _PLAN_BYTES:
+        return chunks()
+    return _PLANS.get(("sweep", n), lambda: list(chunks()))
+
+
+def _best_sinks(best_score: np.ndarray) -> np.ndarray:
     """Best network score of every variable subset w.
 
     Subsets are swept one popcount layer at a time, so every subset one
-    smaller is final before w is scored. A wide layer is scored in chunks.
+    smaller is final before w is scored. A wide layer is scored in chunks,
+    whose indices come from the sweep plan of n.
     """
     n = best_score.shape[0]
-    sinks = np.arange(n)[:, None]
-    best = np.zeros(1 << n)
-    for k in range(1, n + 1):
-        layer = np.flatnonzero(popcount == k)
-        for start in range(0, len(layer), _SWEEP_CHUNK):
-            w = layer[start:start + _SWEEP_CHUNK]
-            # row s: w without sink s, meaningful only where s is in w
-            rest = w ^ (1 << sinks)
-            best[w] = np.where(rest < w, best[rest] + best_score[
-                sinks, _compress_mask(rest, sinks)], -np.inf).max(axis=0)
+    flat = best_score.reshape(-1)
+    # a sink s outside w meets w + {s}, still -inf in the layer above
+    best = np.full(1 << n, -np.inf)
+    best[0] = 0.0
+    for w, rest, index in _sweep_plan(n):
+        best[w] = (best[rest] + flat[index]).max(axis=0)
     return best
 
 
@@ -412,20 +620,37 @@ def _search(scores: np.ndarray) -> list[tuple[int, int, float]]:
     equals the fold's best exactly.
     """
     n = scores.shape[0]
-    popcount = _popcounts(n)
+    half = 1 << (n - 1)
     best_score = _best_parents(scores)
-    best = _best_sinks(best_score, popcount)
-    picks = []
+    best = _best_sinks(best_score)
+    flat = best_score.reshape(-1)
+    steps = []
     w = (1 << n) - 1
     while w:
-        s = next(s for s in range(n) if w >> s & 1 and best[w ^ 1 << s]
-                 + best_score[s, _compress_mask(w ^ 1 << s, s)] == best[w])
-        w ^= 1 << s
-        cm = _compress_mask(w, s)
-        hits = np.flatnonzero(scores[s] == best_score[s, cm])
-        hits = hits[(hits & ~cm) == 0]
-        m = int(hits[popcount[hits].argmin()])
-        picks.append((s, _expand_mask(m, s), float(best_score[s, cm])))
+        # best[w] is the largest of these sums, so one of them reaches it
+        for s in range(n):
+            rest = w ^ 1 << s
+            if rest < w and best[rest] + flat[
+                    s * half + _compress_mask(rest, s)] == best[w]:
+                break
+        w = rest
+        steps.append((s, w))
+    # the parent sets of all sinks at once, a few sinks per pass
+    sinks, rest = np.array(steps).T
+    candidates = _compress_mask(rest, sinks)
+    best = flat[sinks * half + candidates]
+    popcount = _popcounts(n)[:half]
+    masks = np.arange(half)
+    picks = []
+    step = max(1, _GATHER_ENTRIES // half)
+    for i in range(0, n, step):
+        j = slice(i, i + step)
+        hit = ((scores[sinks[j]] == best[j, None])
+               & (masks & ~candidates[j, None] == 0))
+        # argmin takes the first of the fewest parents: the smallest mask
+        chosen = np.where(hit, popcount, n).argmin(axis=1)
+        picks += [(s, _expand_mask(m, s), score) for s, m, score in zip(
+            sinks[j].tolist(), chosen.tolist(), best[j].tolist())]
     return picks
 
 

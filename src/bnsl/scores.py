@@ -57,13 +57,16 @@ class Criterion:
     subset-keyed table (learner.compute_local_scores).
 
     cell(counts, cells, n_rows, cfg) is an elementwise term of a family's
-    count array over `cells` cells; the family sums it in its own order,
-    child axis last. parent(totals, n_rows, cfg) is a term of the parent
-    set's cell totals alone, and penalty(totals, r, n_rows, cfg, cache) one
-    of those totals and the child arity r. Both take a batch of parent sets
-    of one cell count, one row of totals each, and return one value per
-    row. join(cell_sum, parent, penalty) gives the score; it works
-    elementwise on arrays of families.
+    count array over `cells` cells (a number, or an array that broadcasts
+    against counts); the family sums it in its own order, child axis last.
+    parent(term_sum, q, n_rows, cfg) is the parent set's term, a function
+    of its q (its cell count) and of term_sum, the sum of its own cell
+    terms in natural order: a parent set is itself a variable subset. It
+    works elementwise on arrays of parent sets. penalty(totals, r, n_rows,
+    cfg, cache) is a term of the parent set's cell totals and the child
+    arity r; it takes a batch of parent sets of one cell count, one row of
+    totals each, and returns one value per row. join(cell_sum, parent,
+    penalty) gives the score; it works elementwise on arrays of families.
     """
 
     cell: Callable
@@ -77,8 +80,9 @@ def _xlogx_cells(counts, cells, n_rows, cfg):
     return _xlogx_table(n_rows)[counts]
 
 
-def _xlogx_parent(totals, n_rows, cfg):
-    return _xlogx_table(n_rows)[totals].sum(axis=1)
+def _loglik_parent(term_sum, q, n_rows, cfg):
+    """The parent set's sum of N ln N over its cells: its own cell terms."""
+    return term_sum
 
 
 def _loglik_join(cell_sum, parent, penalty):
@@ -125,11 +129,10 @@ def _bdeu_cells(counts, cells, n_rows, cfg):
     return gammaln(a_jk + counts) - gammaln(a_jk)
 
 
-def _bdeu_parent(totals, n_rows, cfg):
-    """BDeu's a_j = alpha / q term of the parent configurations."""
-    from scipy.special import gammaln
-    a_j = cfg.bdeu_alpha / totals.shape[1]
-    return (gammaln(a_j) - gammaln(a_j + totals)).sum(axis=1)
+def _bdeu_parent(term_sum, q, n_rows, cfg):
+    """BDeu's a_j = alpha / q term of the parent configurations: the parent
+    set's own cell terms, whose a_jk is alpha over its q cells, negated."""
+    return -term_sum
 
 
 def _no_penalty(totals, r, n_rows, cfg, cache):
@@ -153,12 +156,10 @@ def _bdq_norm(m: int, n_rows: int, alpha: float):
     return gammaln(m * alpha) - gammaln(m * alpha + n_rows)
 
 
-def _bdq_parent(totals, n_rows, cfg):
+def _bdq_parent(term_sum, q, n_rows, cfg):
     """Collapsed marginal likelihood of the parent set, as one categorical
     over its full cell space."""
-    q = totals.shape[1]
-    return (_bdq_norm(q, n_rows, cfg.bdq_alpha)
-            + _bdq_cells(totals, q, n_rows, cfg).sum(axis=1))
+    return _bdq_norm(q, n_rows, cfg.bdq_alpha) + term_sum
 
 
 def _bdq_penalty(totals, r, n_rows, cfg, cache):
@@ -173,7 +174,7 @@ def _bdq_join(cell_sum, parent, penalty):
     return (penalty + cell_sum) - parent
 
 
-_LOGLIK = dict(cell=_xlogx_cells, parent=_xlogx_parent, join=_loglik_join)
+_LOGLIK = dict(cell=_xlogx_cells, parent=_loglik_parent, join=_loglik_join)
 _CRITERIA = {
     "bic": Criterion(penalty=_bic_penalty, **_LOGLIK),
     "bdeu": Criterion(_bdeu_cells, _bdeu_parent, _no_penalty, _bdeu_join),
@@ -206,9 +207,11 @@ def local_score(data: Dataset, child: int, parents, cfg: ScoreConfig,
     # the parent set's totals as a batch of one row
     totals = counts.sum(axis=1)[None]
     n_rows = data.n_rows
+    q = totals.shape[1]
     score = float(crit.join(
         crit.cell(counts, counts.size, n_rows, cfg).sum(),
-        crit.parent(totals, n_rows, cfg)[0],
+        crit.parent(crit.cell(totals, q, n_rows, cfg).sum(axis=1), q,
+                    n_rows, cfg)[0],
         crit.penalty(totals, counts.shape[1], n_rows, cfg, cache)[0]))
     if not math.isfinite(score):
         raise DataError(f"{cfg.criterion} local score of "

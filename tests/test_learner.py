@@ -156,27 +156,36 @@ def _batched_case():
             ScoreConfig(criterion="bdeu"), None)
 
 
+def _same_bits(a, b):
+    """Equal bit patterns: -inf where b has it, and 0.0 apart from -0.0."""
+    return a.shape == b.shape and np.array_equal(a.view(np.int64),
+                                                 b.view(np.int64))
+
+
 @given(scoring_cases(), st.booleans(),
        st.sampled_from([2, 12, 64, learner._BLOCK_CELLS]))
 @example(_batched_case(), True, learner._BLOCK_CELLS)
 @settings(max_examples=200)
-def test_subset_table_equals_per_family_scores(case, gather, block_cells):
+def test_subset_table_equals_per_family_scores(case, cached, block_cells):
     data, cfg, max_parents = case
     if cfg.criterion == "bic" and data.n_rows == 0:
         return  # no BIC score exists; test_table_errors_match covers it
-    # both ways of summing a subset's cells in each family's order: one
-    # gather through a cached permutation, or one copy per child
-    limit = learner._GATHER_ENTRIES if gather else 0
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(learner, "_GATHER_ENTRIES", limit)
+        if not cached:
+            # an empty cache that keeps no plan, so each is built where it
+            # is used; every take holds one row, and the join runs one
+            # child at a time
+            mp.setattr(learner, "_PLANS", learner._PlanCache())
+            mp.setattr(learner, "_PLAN_BYTES", 0)
+            mp.setattr(learner, "_GATHER_ENTRIES", 0)
         # a budget of a few cells splits every block, down to blocks of one
         # subset; 12 and 64 leave small blocks joined with later variables,
         # counted in one batch when they share a shape
         mp.setattr(learner, "_BLOCK_CELLS", block_cells)
         table = compute_local_scores(data, cfg, max_parents).scores
-    # exact equality: -inf exactly above the cap, every other entry the
-    # per-family float bit for bit
-    assert np.array_equal(table, _family_table(data, cfg, max_parents))
+    # -inf exactly above the cap, every other entry the per-family float
+    # bit for bit, its sign included
+    assert _same_bits(table, _family_table(data, cfg, max_parents))
 
 
 def test_tall_table_equals_per_family_scores():
@@ -191,8 +200,8 @@ def test_tall_table_equals_per_family_scores():
     configs += [ScoreConfig(criterion="fnml", regret_method=m)
                 for m in ("exact", "szp-small-r")]
     for cfg in configs:
-        assert np.array_equal(compute_local_scores(data, cfg).scores,
-                              _family_table(data, cfg)), cfg
+        assert _same_bits(compute_local_scores(data, cfg).scores,
+                          _family_table(data, cfg)), cfg
 
 
 def test_capped_blocks_are_counted_in_batches():
@@ -217,7 +226,43 @@ def test_capped_blocks_are_counted_in_batches():
             mp.setattr(learner, "_marginals", counted)
             table = compute_local_scores(data, cfg, max_parents=2).scores
         assert len(counts) < 30
-        assert np.array_equal(table, _family_table(data, cfg, 2))
+        assert _same_bits(table, _family_table(data, cfg, 2))
+
+
+def test_plans_are_kept_per_shape():
+    # shapes that share n but differ in arities or cap, and data of one
+    # shape but another N, each learned twice in turn: a kept plan must
+    # never serve a shape it was not built for
+    rng = np.random.default_rng(4)
+    cases = []
+    for arities in ((2, 3, 2, 2), (3, 2, 2, 2)):
+        for n_rows in (10, 10_000):
+            rows = np.stack([rng.integers(0, a, n_rows) for a in arities],
+                            axis=1)
+            data = Dataset(tuple("ABCD"), arities, rows)
+            cases += [(data, None), (data, 1)]
+    for crit in ("bdeu", "fnml"):
+        cfg = ScoreConfig(criterion=crit)
+        want = [_family_table(data, cfg, cap) for data, cap in cases]
+        learned = [learn_exact(data, cfg, cap).network for data, cap in cases]
+        for _ in range(2):
+            for (data, cap), table, network in zip(cases, want, learned):
+                assert _same_bits(compute_local_scores(data, cfg, cap).scores,
+                                  table)
+                assert learn_exact(data, cfg, cap).network == network
+
+
+def test_kept_plans_stay_within_their_budget():
+    rng = np.random.default_rng(9)
+    cfg = ScoreConfig(criterion="qnml")
+    for n in range(1, 15):
+        rows = rng.integers(0, 2, (200, n))
+        learn_exact(Dataset(tuple(f"V{i}" for i in range(n)), (2,) * n,
+                            rows), cfg)
+        # the cache's own count, which must be the sum of its plans' sizes
+        kept = learner._PLANS
+        assert kept.nbytes == sum(size for _, size in kept.plans.values())
+        assert kept.nbytes <= learner._PLAN_BYTES
 
 
 def test_table_errors_match_per_family_errors():
@@ -329,11 +374,16 @@ def test_vectorized_sweeps_match_reference_loops(ties):
         best_score = _best_parents(scores)
         assert np.array_equal(best_score, ref_score)
         ref_best, ref_sink = _reference_sinks(ref_score)
-        assert np.array_equal(_best_sinks(best_score, popcount), ref_best)
-        # wide layers are scored in chunks; force several per layer
+        assert np.array_equal(_best_sinks(best_score), ref_best)
+        # wide layers are scored in chunks; force several per layer, with
+        # no plan kept, and pick parents one sink at a time
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(learner, "_SWEEP_CHUNK", 3)
-            assert np.array_equal(_best_sinks(best_score, popcount), ref_best)
+            mp.setattr(learner, "_PLANS", learner._PlanCache())
+            mp.setattr(learner, "_PLAN_BYTES", 0)
+            mp.setattr(learner, "_GATHER_ENTRIES", 0)
+            assert np.array_equal(_best_sinks(best_score), ref_best)
+            uncached = _search(scores)
         # the search breaks ties only while backtracking; it must pick the
         # oracles' sinks and parent sets, in the same order
         want = []
@@ -345,6 +395,7 @@ def test_vectorized_sweeps_match_reference_loops(ties):
             want.append((s, _expand_mask(int(ref_set[s, cm]), s),
                          float(ref_score[s, cm])))
         assert _search(scores) == want
+        assert uncached == want
 
 
 def test_variable_count_guards():

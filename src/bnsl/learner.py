@@ -292,13 +292,17 @@ _CAPPED_FILL = 16
 # one gather of sums or local scores holds at most this many entries, or
 # one row of them
 _GATHER_ENTRIES = 1 << 17
-# every cached index plan together holds at most this many bytes
+# every cached index plan together holds at most this many bytes: all the
+# plans of a binary n = 14 learn (about 21 MiB) fit, and no sink-sweep plan
+# from n = 17 up (37 MiB and more), so large searches keep their peak
 _PLAN_BYTES = 1 << 25
 
 
 class _PlanCache:
     """Index plans by key, least recently used first, kept while all of them
-    fit _PLAN_BYTES; a plan larger than that is built on every use."""
+    fit _PLAN_BYTES; a plan larger than that is built on every use. A plan
+    is a function of its key alone, so one cache serves every learn in the
+    process without changing any result."""
 
     def __init__(self):
         self.plans = OrderedDict()
@@ -607,7 +611,11 @@ def _best_sinks(best_score: np.ndarray) -> np.ndarray:
     best = np.full(1 << n, -np.inf)
     best[0] = 0.0
     for w, rest, index in _sweep_plan(n):
-        best[w] = (best[rest] + flat[index]).max(axis=0)
+        total = best[rest]
+        total += flat[index]
+        best[w] = total.max(axis=0)
+        # a chunk built on the fly is freed before the next one is built
+        del w, rest, index, total
     return best
 
 
@@ -640,7 +648,8 @@ def _search(scores: np.ndarray) -> list[tuple[int, int, float]]:
     candidates = _compress_mask(rest, sinks)
     best = flat[sinks * half + candidates]
     popcount = _popcounts(n)[:half]
-    masks = np.arange(half)
+    masks = np.arange(half, dtype=np.int32)
+    candidates = candidates.astype(np.int32)
     picks = []
     step = max(1, _GATHER_ENTRIES // half)
     for i in range(0, n, step):

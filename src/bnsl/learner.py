@@ -529,7 +529,8 @@ def _join_plan(n: int, cap: int):
     if cap < n - 1:
         admissible = columns = np.flatnonzero(_popcounts(n)[:half] <= cap)
     step = max(1, _GATHER_ENTRIES // len(columns))
-    chunks = ((c, _expand_mask(columns, np.arange(c, min(c + step, n))[:, None]))
+    chunks = ((c, _expand_mask(columns,
+                               np.arange(c, min(c + step, n))[:, None]))
               for c in range(0, n, step))
     if n * len(columns) * 8 > _PLAN_BYTES:
         return admissible, chunks

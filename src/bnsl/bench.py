@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__
 from .dataset import Dataset, load_dataset
 from .errors import DataError
-from .learner import learn_exact
+from .learner import learn_criteria
 from .model import (fit_bpp, fit_ml, fit_snml, load_network,
                     mean_test_loglik, sample)
 from .regret import regret_exact, regret_szp_all_range, regret_szp_small_r
@@ -186,12 +186,14 @@ def run_regret_table(spec: ExperimentSpec | None = None) -> list[list[str]]:
 def run_shd_curve(spec: ExperimentSpec) -> list[list[str]]:
     """Mean CPDAG distance to the generating network versus sample size.
 
-    One dataset is drawn per (sample size, repetition) and shared by all
-    criteria, so the columns are paired comparisons on identical data.
+    One dataset is drawn per (sample size, repetition) and learned under
+    all criteria in one learn_criteria batch, so the columns are paired
+    comparisons on identical data, counted once.
     """
     if not spec.networks:
         raise DataError("shd-curve needs at least one network file")
     rows = [["network", "criterion", "n", "meanSHD", "stderr"]]
+    cfgs = tuple(ScoreConfig(criterion=crit) for crit in spec.criteria)
     for net_path in spec.networks:
         net = load_network(net_path)
         truth = to_cpdag(net.structure)
@@ -199,8 +201,7 @@ def run_shd_curve(spec: ExperimentSpec) -> list[list[str]]:
             per_rep = np.empty((spec.repetitions, len(spec.criteria)))
             for rep in range(spec.repetitions):
                 data = sample(net, n, seed=spec.seed + rep)
-                for j, crit in enumerate(spec.criteria):
-                    res = learn_exact(data, ScoreConfig(criterion=crit))
+                for j, res in enumerate(learn_criteria(data, cfgs)):
                     per_rep[rep, j] = cpdag_shd(to_cpdag(res.network), truth)
             for j, crit in enumerate(spec.criteria):
                 col = per_rep[:, j]
@@ -237,12 +238,15 @@ def _predict_tables(spec: ExperimentSpec) -> list[list[str]]:
 
     Per repetition the rows are permuted once; each train fraction takes
     the leading slice of that permutation, so larger fractions extend the
-    smaller ones instead of resampling. Each (dataset, criterion, fraction)
-    row holds the mean held-out log-likelihood, rank and parameter count.
+    smaller ones instead of resampling. Each split is learned under all
+    criteria in one learn_criteria batch. Each (dataset, criterion,
+    fraction) row holds the mean held-out log-likelihood, rank and
+    parameter count.
     """
     if not spec.datasets:
         raise DataError(f"{spec.kind} needs at least one dataset file")
     rows = []
+    cfgs = tuple(ScoreConfig(criterion=crit) for crit in spec.criteria)
     for ds_path in spec.datasets:
         data = load_dataset(ds_path)
         # log-likelihood, rank, parameter count x fraction x criterion x rep
@@ -261,8 +265,9 @@ def _predict_tables(spec: ExperimentSpec) -> list[list[str]]:
                                 data.rows[perm[:n_train]])
                 test = Dataset(data.names, data.arities,
                                data.rows[perm[n_train:]])
-                for ci, crit in enumerate(spec.criteria):
-                    g = learn_exact(train, ScoreConfig(criterion=crit)).network
+                results = learn_criteria(train, cfgs)
+                for ci, (crit, res) in enumerate(zip(spec.criteria, results)):
+                    g = res.network
                     net = fit_for(crit)(train, g)
                     stats[0, fi, ci, rep] = mean_test_loglik(net, test)
                     stats[2, fi, ci, rep] = parameter_count(g, data.arities)

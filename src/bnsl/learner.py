@@ -16,6 +16,15 @@ AD-trees (Moore & Lee, JAIR 1998). The criterion's cell terms are
 evaluated once per batch, and the sums of a batch's rows that share a cell
 count are taken with one numpy call each.
 
+learn_criteria is the one learn path: it learns one dataset under a batch
+of score configs, and learn_exact is its one-config case. Counting does not
+depend on the criterion, so the batch counts the data once; bic, fnml and
+qnml share the maximized log-likelihood and differ only in their penalty,
+so configs whose cell terms agree share those terms and their sums. Only
+the penalties and the final join are per config, and the search runs on
+all tables at once. Every operation is the one a single config does, so
+each result equals that config's own learn bit for bit.
+
 The index work of a learn depends on its shape alone (n, the arities and
 the cap), not on the data: where each family's cells sit in a block, where
 its sums go in the table, which subsets the sink sweep meets. It is built
@@ -73,41 +82,56 @@ class LearnResult:
     elapsed: float
 
 
-# a non-finite entry is a DataError, so the operations that make one stay quiet
-@np.errstate(invalid="ignore")
 def compute_local_scores(data: Dataset, cfg: ScoreConfig,
                          max_parents: int | None = None) -> LocalScoreTable:
-    """Score every admissible (child, parent set) pair, counting each block
-    of variable subsets once.
+    """Score every admissible (child, parent set) pair: the table that
+    learn_criteria builds for one config (see _score_tables). Each entry
+    equals local_score of its family bit for bit."""
+    return LocalScoreTable(data.n_vars,
+                           _score_tables(data, (cfg,), max_parents)[0],
+                           max_parents)
+
+
+# a non-finite entry is a DataError, so the operations that make one stay quiet
+@np.errstate(invalid="ignore")
+def _score_tables(data: Dataset, cfgs, max_parents: int | None) -> np.ndarray:
+    """The local-score table of every config, stacked as one read-only
+    (configs, n, 2^(n-1)) array, counting each block of variable subsets
+    once for all of them.
 
     A family {c} + P has the cells of the subset T = P + {c}, and every
     criterion's other terms depend on P and the child arity alone (see
-    scores.Criterion). The subsets T with |T| <= cap + 1 are counted in
-    blocks: every A within the first b variables, joined with one set B of
-    later ones. One bincount of the block's joint index (the first-b prefix
-    index times cells(B), plus B's index) gives the joint counts; appending
-    to each of the b axes one slot that holds the sum over that axis gives
-    every A + B count array at once, by exact integer sums. The first block
-    is (n, {}). A block is split on variable b - 1 into (b - 1, B) and
-    (b - 1, B + {b - 1}) while its marginal tensor exceeds _BLOCK_CELLS, or
-    while the subsets within the cap fill less than 1/_CAPPED_FILL of it; a
-    B larger than cap + 1 is dropped, and one of cap + 1 is counted alone.
-    Blocks of one shape (b and the arities of B) are counted together, as
-    many in one tensor as fit the same budget, so a small cap, which leaves
-    many small blocks, costs few numpy calls.
+    scores.Criterion). The subsets T with |T| <= cap + 1 are counted in the
+    blocks of _block_shapes: every A within the first b variables, joined
+    with one set B of later ones. One bincount of the block's joint index
+    (the first-b prefix index times cells(B), plus B's index) gives the
+    joint counts; appending to each of the b axes one slot that holds the
+    sum over that axis gives every A + B count array at once, by exact
+    integer sums. Blocks of one shape are counted together, as many in one
+    tensor as fit _BLOCK_CELLS.
 
-    The criterion's cell term is evaluated once over a batch's tensor. The
-    shape's cached plan (see _block_plan) groups its rows by cell count,
-    not by arity sequence: one row per family, its cells in that family's
-    order, and one per parent set within the cap, its cells in natural
-    order. In a small shape one take and one row sum per cell count give
-    every family sum and every parent set's term sum; a large one takes its
+    Configs whose cell terms agree (one cell function and the same
+    hyperparameters: bic, fnml and qnml all sum N ln N) form a group. Each
+    group's cell terms are evaluated once over a batch's tensor, and the
+    sums of every group are taken in the same numpy calls. The shape's
+    cached plan (see _block_plan) groups its rows by cell count, not by
+    arity sequence: one row per family, its cells in that family's order,
+    and one per parent set within the cap, its cells in natural order. In
+    a small shape one take and one row sum per cell count give every
+    family sum and every parent set's term sum; a large one takes its
     subsets' cells per arity sequence, then each row's order. A subset
-    counted alone (b = 0) is summed child by child. A parent set's term is
-    read from its own term sum (see scores.Criterion), and the sums, parent
-    terms and penalties are joined for all children at once. Each entry
-    equals local_score of its family bit for bit.
+    counted alone (b = 0) is summed child by child. A group's family sums
+    land in its first config's table. Penalties are evaluated per config;
+    a parent set's term is read from its own term sum (see
+    scores.Criterion), and the sums, parent terms and penalties are joined
+    for all children at once, per config. Each entry equals local_score of
+    its family under its config bit for bit.
+
+    A config with a score that is not finite raises the DataError it
+    raises alone; of several such configs, the first one's.
     """
+    if not cfgs:
+        raise DataError("no score configs to learn with")
     n = data.n_vars
     if max_parents is not None and max_parents < 0:
         raise DataError("max_parents must be nonnegative")
@@ -121,47 +145,53 @@ def compute_local_scores(data: Dataset, cfg: ScoreConfig,
         raise ResourceLimitError(
             f"a family with {largest} cells exceeds the dense-table guard of "
             f"{MAX_TABLE_CELLS}")
-    crit = criterion(cfg.criterion)
-    cache = shared_cache(cfg.regret_method)
+    scorers = [(cfg, criterion(cfg.criterion),
+                shared_cache(cfg.regret_method)) for cfg in cfgs]
+    # the groups of configs whose cell terms agree, as config indices
+    shared = {}
+    for i, (cfg, crit, _) in enumerate(scorers):
+        shared.setdefault((crit.cell, cfg.bdeu_alpha, cfg.bdq_alpha),
+                          []).append(i)
+    groups = list(shared.values())
     n_rows = data.n_rows
     child_arities = sorted(set(arities))
     half = 1 << (n - 1)
-    # per parent set P: the sum of its cell terms in natural order, and its
-    # penalty per child arity
-    parent = np.zeros(2 * half)
-    penalty = np.zeros((len(child_arities), 2 * half))
-    scores = np.full((n, half), -np.inf)
-    flat = scores.reshape(-1)
+    tables = np.full((len(cfgs), n, half), -np.inf)
+    flat = tables.reshape(-1)
+    # where each group's family sums go: its first config's table
+    owners = np.array([g[0] for g in groups])[:, None, None] * (n * half)
+    # per group and parent set P: the sum of P's cell terms in natural
+    # order; per config, P's penalty per child arity
+    parent = np.zeros((len(groups), 2 * half))
+    penalty = np.zeros((len(cfgs), len(child_arities), 2 * half))
+    errors = {}
 
-    columns = data.rows.T.copy()
-    # per b: the marginal tensor width of the first b variables, and per j
-    # the cells of their subsets of at most j variables
-    widths = [1]
-    capped = [[1] * (cap + 2)]
-    for r in arities:
-        widths.append(widths[-1] * (r + 1))
-        c = capped[-1]
-        capped.append([1] + [c[j] + r * c[j - 1] for j in range(1, cap + 2)])
-    # the index of the widest prefix of variables that fits one block
-    top = sum(w <= _BLOCK_CELLS for w in widths) - 1
-    prefix = np.zeros(n_rows, dtype=np.int64)
-    for v in range(top):
-        prefix = prefix * arities[v] + columns[v]
+    def penalize(totals, out):
+        """Write out[i, j], config i's penalties of each row of parent-set
+        totals and child arity j, in the shape of out[i, j]. A config's
+        first DataError is kept for the end, and its penalties read nan."""
+        shape = out.shape[2:]
+        for i, (cfg, crit, cache) in enumerate(scorers):
+            for j, r in enumerate(child_arities):
+                try:
+                    out[i, j] = crit.penalty(totals, r, n_rows, cfg,
+                                             cache).reshape(shape)
+                except DataError as exc:
+                    errors.setdefault(i, exc)
+                    out[i, j] = np.nan
 
-    def count(b, bdims, batch, plan):
+    def count(b, bdims, bvars, bmasks, offsets, plan):
         """Count and score a batch of blocks (b, B) whose sets B have the
         arities bdims, given as B's variables ascending. Block i's joint
         index is offset by i times the cells of one block, so one bincount
         counts them all, one block after another."""
-        m = len(batch)
+        m = len(bvars)
         low = arities[:b]
         bcells = math.prod(bdims)
         if b < top:
             joint = prefix // math.prod(arities[b:top])
         else:
             joint = prefix
-        bvars = np.array(batch, dtype=np.int64).reshape(m, -1)
-        bmasks = (1 << bvars).sum(axis=1)
         if bdims:
             index = columns[bvars[:, 0]]
             for j in range(1, len(bdims)):
@@ -171,37 +201,36 @@ def compute_local_scores(data: Dataset, cfg: ScoreConfig,
             if b:
                 index += joint * bcells
             joint = index.reshape(-1)
-            # per block, what the plan's table positions lack: a child of A
-            # sees B's bits one place lower, a parent set is A + B, and a
-            # child of B sees A's bits where they are
-            offsets = np.column_stack(
-                (bmasks >> 1, bmasks,
-                 bvars * half + _compress_mask(bmasks[:, None], bvars)))
         cube = _marginals(joint, m, low, bcells)
+        # every group's cell terms, one group after another
+        terms = [crit.cell(cube, plan.cells if b else bcells, n_rows, cfg)
+                 for cfg, crit, _ in (scorers[g[0]] for g in groups)]
+        terms = np.stack(terms) if len(terms) > 1 else terms[0][None]
         if not b:
-            terms = crit.cell(cube, bcells, n_rows, cfg).reshape(m, *bdims)
+            terms = terms.reshape(len(groups), m, *bdims)
             for j in range(len(bdims)):
-                flat[offsets[:, 2 + j]] = np.moveaxis(
-                    terms, 1 + j, -1).reshape(m, -1).sum(axis=-1)
+                flat[owners[:, 0] + offsets[:, 2 + j]] = np.moveaxis(
+                    terms, 2 + j, -1).reshape(len(groups), m, -1).sum(-1)
             if len(bdims) <= cap:
-                parent[bmasks] = terms.reshape(m, -1).sum(axis=-1)
-                totals = cube.reshape(m, -1)
-                for i, r in enumerate(child_arities):
-                    penalty[i, bmasks] = crit.penalty(totals, r, n_rows, cfg,
-                                                      cache)
+                parent[:, bmasks] = terms.reshape(len(groups), m, -1).sum(
+                    axis=-1)
+                pens = np.empty((len(cfgs), len(child_arities), m))
+                penalize(cube.reshape(m, -1), pens)
+                penalty[:, :, bmasks] = pens
             return
-        terms = crit.cell(cube, plan.cells, n_rows, cfg)
         # positions pick single cells of a block's tensor, or with orders,
-        # chunks of B's cells
-        cells = terms.reshape(m, -1)
-        sums = np.empty((m, plan.rows))
-        pens = np.empty((len(child_arities), m, len(plan.pdest)))
+        # chunks of B's cells; the groups' rows are stacked
+        rows_all = len(groups) * m
+        terms = terms.reshape(rows_all, *cube.shape[1:])
+        cells = terms.reshape(rows_all, -1)
+        sums = np.empty((rows_all, plan.rows))
+        pens = np.empty((len(cfgs), len(child_arities), m, len(plan.pdest)))
         start = 0
         for k, parts, first, parents in plan.groups:
             for rows, orders in parts:
                 # one take holds at most _GATHER_ENTRIES entries, or one row
                 width = k if orders is None else k * len(orders)
-                step = max(1, _GATHER_ENTRIES // (m * width))
+                step = max(1, _GATHER_ENTRIES // (rows_all * width))
                 for row in range(0, len(rows), step):
                     if orders is None:
                         part = np.take(cells, rows[row:row + step], axis=1)
@@ -209,76 +238,69 @@ def compute_local_scores(data: Dataset, cfg: ScoreConfig,
                         part = np.take(np.take(
                             terms, rows[row:row + step], axis=1).reshape(
                                 -1, k), orders, axis=1)
-                    part = part.reshape(m, -1, k)
+                    part = part.reshape(rows_all, -1, k)
                     end = start + part.shape[1]
                     part.sum(axis=-1, out=sums[:, start:end])
                     start = end
             if len(parents):
                 totals = np.take(cube, parents, axis=1).reshape(-1, k)
-                for i, r in enumerate(child_arities):
-                    pens[i, :, first:first + len(parents)] = crit.penalty(
-                        totals, r, n_rows, cfg, cache).reshape(m, -1)
+                penalize(totals, pens[..., first:first + len(parents)])
+        sums = sums.reshape(len(groups), m, -1)
         if bdims:
             fdest = plan.fdest + offsets[:, plan.fsel]
             pdest = plan.pdest + bmasks[:, None]
         else:
             fdest, pdest = plan.fdest[None], plan.pdest[None]
-        flat[fdest] = sums[:, plan.fcols]
-        parent[pdest] = sums[:, plan.pcols]
-        penalty[:, pdest] = pens
+        flat[owners + fdest] = sums[:, :, plan.fcols]
+        parent[:, pdest] = sums[:, :, plan.pcols]
+        penalty[:, :, pdest] = pens
 
-    # the blocks of each shape (b, arities of B), as B's variables
-    shapes = {}
-    blocks = [(n, ())]
-    while blocks:
-        b, bvars = blocks.pop()
-        if len(bvars) > cap:
-            b = 0  # only B itself is admissible
-        bdims = tuple(arities[v] for v in bvars)
-        room = cap + 1 - len(bvars)
-        if b and (widths[b] * math.prod(bdims) > _BLOCK_CELLS or room < b and
-                  _CAPPED_FILL * capped[b][room] < widths[b]):
-            v = b - 1
-            blocks.append((v, bvars))
-            if room:
-                blocks.append((v, (v, *bvars)))
-            continue
-        shapes.setdefault((b, bdims), []).append(bvars)
-    for (b, bdims), group in shapes.items():
+    columns = data.rows.T.copy()
+    top, shapes = _block_shapes(arities, cap)
+    prefix = np.zeros(n_rows, dtype=np.int64)
+    for v in range(top):
+        prefix = prefix * arities[v] + columns[v]
+    for b, bdims, size, bvars, bmasks, offsets in shapes:
         # a batch's tensor and its stacked index stay within the budget
-        step = max(1, _BLOCK_CELLS // max(widths[b] * math.prod(bdims),
-                                          n_rows))
+        step = max(1, _BLOCK_CELLS // max(size, n_rows))
         plan = None
         if b:
             plan = _block_plan(n, arities[:b], bdims,
                                min(cap, b + len(bdims)))
-        for start in range(0, len(group), step):
-            count(b, bdims, group[start:start + step], plan)
+        for start in range(0, len(bvars), step):
+            batch = slice(start, start + step)
+            count(b, bdims, bvars[batch], bmasks[batch], offsets[batch], plan)
 
     rank = np.searchsorted(child_arities, arities)
     cells = _set_cells(arities)
     admissible, chunks = _join_plan(n, cap)
     for c, sets in chunks:
         rows = slice(c, c + len(sets))
-        if admissible is None:
-            before = scores[rows]
-        else:
-            before = scores[rows, admissible]
-        row = crit.join(before,
-                        crit.parent(parent[sets], cells[sets], n_rows, cfg),
-                        penalty[rank[rows, None], sets])
-        bad = ~np.isfinite(row)
-        if bad.any():
-            i, j = np.argwhere(bad)[0]
-            raise DataError(f"{cfg.criterion} local score of "
-                            f"{data.names[c + i]!r} is {row[i, j]}, not "
-                            "finite")
-        if admissible is None:
-            scores[rows] = row
-        else:
-            scores[rows, admissible] = row
-    scores.flags.writeable = False
-    return LocalScoreTable(n, scores, max_parents)
+        q = cells[sets]
+        for g, group in enumerate(groups):
+            sums = tables[group[0], rows]
+            if admissible is not None:
+                sums = sums[:, admissible]
+            term_sum = parent[g, sets]
+            # the first config last, since its table holds the sums
+            for i in reversed(group):
+                cfg, crit, _ = scorers[i]
+                row = crit.join(sums, crit.parent(term_sum, q, n_rows, cfg),
+                                penalty[i, rank[rows, None], sets])
+                bad = ~np.isfinite(row)
+                if bad.any() and i not in errors:
+                    v, j = np.argwhere(bad)[0]
+                    errors[i] = DataError(
+                        f"{cfg.criterion} local score of "
+                        f"{data.names[c + v]!r} is {row[v, j]}, not finite")
+                if admissible is None:
+                    tables[i, rows] = row
+                else:
+                    tables[i][rows, admissible] = row
+    if errors:
+        raise errors[min(errors)]
+    tables.flags.writeable = False
+    return tables
 
 
 # a block's marginal tensor holds at most this many cells
@@ -339,6 +361,69 @@ def _arrays(plan):
 _PLANS = _PlanCache()
 
 
+def _block_shapes(arities: tuple[int, ...], cap: int):
+    """The cached blocks of a learn over variables of these arities with at
+    most cap parents: (top, shapes). top is the widest prefix of variables
+    whose marginal tensor fits one block. Per block shape (b, the arities of
+    B), shapes holds (b, B's arities, the cells of one block's tensor, then
+    per block B's variables ascending, B's mask and the table offsets that
+    count adds to its plan's positions).
+
+    The first block is (n, {}). A block is split on variable b - 1 into
+    (b - 1, B) and (b - 1, B + {b - 1}) while its marginal tensor exceeds
+    _BLOCK_CELLS, or while the subsets within the cap fill less than
+    1/_CAPPED_FILL of it; a B larger than cap + 1 is dropped, and one of
+    cap + 1 is counted alone (b = 0). Blocks of one shape are counted
+    together, so a small cap, which leaves many small blocks, costs few
+    numpy calls.
+    """
+    return _PLANS.get(("shapes", arities, cap, _BLOCK_CELLS),
+                      lambda: _build_block_shapes(arities, cap))
+
+
+def _build_block_shapes(arities, cap):
+    n = len(arities)
+    half = 1 << (n - 1)
+    # per b: the marginal tensor width of the first b variables, and per j
+    # the cells of their subsets of at most j variables
+    widths = [1]
+    capped = [[1] * (cap + 2)]
+    for r in arities:
+        widths.append(widths[-1] * (r + 1))
+        c = capped[-1]
+        capped.append([1] + [c[j] + r * c[j - 1] for j in range(1, cap + 2)])
+    top = sum(w <= _BLOCK_CELLS for w in widths) - 1
+    shapes = {}
+    blocks = [(n, ())]
+    while blocks:
+        b, bvars = blocks.pop()
+        if len(bvars) > cap:
+            b = 0  # only B itself is admissible
+        bdims = tuple(arities[v] for v in bvars)
+        room = cap + 1 - len(bvars)
+        if b and (widths[b] * math.prod(bdims) > _BLOCK_CELLS or room < b and
+                  _CAPPED_FILL * capped[b][room] < widths[b]):
+            v = b - 1
+            blocks.append((v, bvars))
+            if room:
+                blocks.append((v, (v, *bvars)))
+            continue
+        shapes.setdefault((b, bdims), []).append(bvars)
+    out = []
+    for (b, bdims), group in shapes.items():
+        bvars = np.array(group, dtype=np.int64).reshape(len(group), -1)
+        bmasks = (1 << bvars).sum(axis=1)
+        # what a block's plan positions lack: a child of A sees B's bits
+        # one place lower, a parent set is A + B, and a child of B sees
+        # A's bits where they are
+        offsets = np.column_stack(
+            (bmasks >> 1, bmasks,
+             bvars * half + _compress_mask(bmasks[:, None], bvars)))
+        out.append((b, bdims, widths[b] * math.prod(bdims), bvars, bmasks,
+                    offsets))
+    return top, tuple(out)
+
+
 def _marginals(joint: np.ndarray, blocks: int, low: tuple[int, ...],
                bcells: int) -> np.ndarray:
     """Every marginal count array of a batch of blocks, in one tensor.
@@ -380,11 +465,12 @@ class _BlockPlan(NamedTuple):
     position per tensor cell. A family row's column is in fcols and goes to
     table position fdest plus the block's offset fsel (see count), a parent
     row's column is in pcols and goes to parent set pdest plus B's mask.
-    cells holds the cells of each tensor cell's subset, for criteria whose
-    cell terms depend on it.
+    cells holds the distinct cell counts of the shape's subsets and, per
+    chunk of B's cells, the index of its subset's count among them, for
+    criteria whose cell terms depend on it (see scores.Criterion).
     """
 
-    cells: np.ndarray
+    cells: tuple
     rows: int
     groups: tuple
     fdest: np.ndarray
@@ -414,15 +500,19 @@ def _build_block_plan(n, low, bdims, cap):
     b, s = len(low), len(bdims)
     half = 1 << (n - 1)
     bcells = math.prod(bdims)
-    # the cells of each tensor cell's subset, built from the last axis
-    cells = np.ones(1, dtype=np.int64)
-    for r in reversed(low):
-        cells = (np.where(np.arange(r + 1) < r, r, 1)[:, None]
-                 * cells).ravel()
     masks = np.arange(1 << b)
     bits = masks[:, None] >> np.arange(b) & 1
     size = bits.sum(axis=1) + s
     count = np.where(bits, low, 1).prod(axis=1) * bcells
+    # the distinct cell counts of the subsets, and per tensor cell the
+    # index of its subset's count; the subset of a cell (its mask over the
+    # first b axes) is built from the last axis
+    sizes = np.array(sorted(set(count.tolist())))
+    subset = np.zeros(1, dtype=np.int64)
+    for i in reversed(range(b)):
+        subset = (np.where(np.arange(low[i] + 1) < low[i], 1 << i, 0)[:, None]
+                  + subset).ravel()
+    cells = sizes, np.searchsorted(sizes, count).astype(np.int32)[subset, None]
     # each arity sequence as the digits 1..d of one base d + 1 integer, d
     # the distinct arities; while the tensor fits _BLOCK_CELLS the key stays
     # below 2^36
@@ -487,9 +577,8 @@ def _build_block_plan(n, low, bdims, cap):
                      for (rows, orders, own), end in zip(parts, at)]
         plan.append((k, parts, npar, parents))
         npar += len(parents)
-    return _BlockPlan(cells=(cells * bcells).astype(np.int32)[:, None],
-                      rows=int(span.sum()), groups=tuple(plan), fdest=fdest,
-                      fsel=fsel, fcols=fcols, pdest=masks[parent],
+    return _BlockPlan(cells=cells, rows=int(span.sum()), groups=tuple(plan),
+                      fdest=fdest, fsel=fsel, fcols=fcols, pdest=masks[parent],
                       pcols=(start + span - 1)[parent])
 
 
@@ -600,84 +689,108 @@ def _sweep_plan(n: int):
 
 
 def _best_sinks(best_score: np.ndarray) -> np.ndarray:
-    """Best network score of every variable subset w.
+    """Best network score of every variable subset w, per table: best_score
+    stacks the best-parent tables of one n, and row t of the result holds
+    table t's scores.
 
     Subsets are swept one popcount layer at a time, so every subset one
     smaller is final before w is scored. A wide layer is scored in chunks,
     whose indices come from the sweep plan of n.
     """
-    n = best_score.shape[0]
-    flat = best_score.reshape(-1)
+    count, n = best_score.shape[:2]
+    flat = best_score.reshape(count, -1)
     # a sink s outside w meets w + {s}, still -inf in the layer above
-    best = np.full(1 << n, -np.inf)
-    best[0] = 0.0
+    best = np.full((count, 1 << n), -np.inf)
+    best[:, 0] = 0.0
     for w, rest, index in _sweep_plan(n):
-        total = best[rest]
-        total += flat[index]
-        best[w] = total.max(axis=0)
+        total = best.take(rest, axis=1)
+        total += flat.take(index, axis=1)
+        best[:, w] = total.max(axis=1)
         # a chunk built on the fly is freed before the next one is built
         del w, rest, index, total
     return best
 
 
-def _search(scores: np.ndarray) -> list[tuple[int, int, float]]:
-    """(sink, parent mask, local score) of an optimal network, last sink first.
+def _search(tables: np.ndarray) -> list[list[tuple[int, int, float]]]:
+    """Per local-score table of a (tables, n, 2^(n-1)) stack: (sink, parent
+    mask, local score) of an optimal network, last sink first.
 
-    Ties are broken here, once per variable: the smallest sink whose sum
-    (the sweep's own float addition) reaches the subset's best, then the
-    parent subset of smallest cardinality, then smallest mask, whose score
-    equals the fold's best exactly.
+    Both sweeps run on all tables at once. Ties are broken here, once per
+    variable: the smallest sink whose sum (the sweep's own float addition)
+    reaches the subset's best, then the parent subset of smallest
+    cardinality, then smallest mask, whose score equals the fold's best
+    exactly.
     """
-    n = scores.shape[0]
-    half = 1 << (n - 1)
-    best_score = _best_parents(scores)
+    count, n, half = tables.shape
+    rows = tables.reshape(-1, half)
+    best_score = _best_parents(rows).reshape(tables.shape)
     best = _best_sinks(best_score)
     flat = best_score.reshape(-1)
     steps = []
-    w = (1 << n) - 1
-    while w:
-        # best[w] is the largest of these sums, so one of them reaches it
-        for s in range(n):
-            rest = w ^ 1 << s
-            if rest < w and best[rest] + flat[
-                    s * half + _compress_mask(rest, s)] == best[w]:
-                break
-        w = rest
-        steps.append((s, w))
-    # the parent sets of all sinks at once, a few sinks per pass
-    sinks, rest = np.array(steps).T
+    for t in range(count):
+        sweep, fold = best[t], flat[t * n * half:(t + 1) * n * half]
+        w = (1 << n) - 1
+        while w:
+            # sweep[w] is the largest of these sums, so one of them reaches it
+            for s in range(n):
+                rest = w ^ 1 << s
+                if rest < w and sweep[rest] + fold[
+                        s * half + _compress_mask(rest, s)] == sweep[w]:
+                    break
+            w = rest
+            steps.append((t * n + s, w))
+    # the parent sets of every table's sinks at once, a few sinks per pass
+    row, rest = np.array(steps).T
+    sinks = row % n
     candidates = _compress_mask(rest, sinks)
-    best = flat[sinks * half + candidates]
+    best = flat[row * half + candidates]
     popcount = _popcounts(n)[:half]
     masks = np.arange(half, dtype=np.int32)
     candidates = candidates.astype(np.int32)
     picks = []
     step = max(1, _GATHER_ENTRIES // half)
-    for i in range(0, n, step):
+    for i in range(0, len(row), step):
         j = slice(i, i + step)
-        hit = ((scores[sinks[j]] == best[j, None])
+        hit = ((rows[row[j]] == best[j, None])
                & (masks & ~candidates[j, None] == 0))
         # argmin takes the first of the fewest parents: the smallest mask
         chosen = np.where(hit, popcount, n).argmin(axis=1)
         picks += [(s, _expand_mask(m, s), score) for s, m, score in zip(
             sinks[j].tolist(), chosen.tolist(), best[j].tolist())]
-    return picks
+    return [picks[t * n:(t + 1) * n] for t in range(count)]
+
+
+def learn_criteria(data: Dataset, cfgs,
+                   max_parents: int | None = None) -> tuple[LearnResult, ...]:
+    """A provably optimal network per config, in order, via the subset DP.
+
+    The data is counted once for all configs, and configs whose cell terms
+    agree (bic, fnml and qnml) share their sums; the search runs on all
+    tables at once. Each result equals that of the config learned alone,
+    bit for bit, and its elapsed is the whole batch's wall time. The
+    batch holds every config's table at once, so peak memory grows with
+    the number of configs.
+    """
+    start = time.perf_counter()
+    n = data.n_vars
+    networks = []
+    for picks in _search(_score_tables(data, tuple(cfgs), max_parents)):
+        parents = [()] * n
+        per = [0.0] * n
+        for s, mask, score in picks:
+            parents[s] = mask_to_parents(mask)
+            per[s] = score
+        networks.append((DagStructure(n, tuple(parents), data.names),
+                         float(sum(per)), tuple(per)))
+    elapsed = time.perf_counter() - start
+    return tuple(LearnResult(*network, elapsed) for network in networks)
 
 
 def learn_exact(data: Dataset, cfg: ScoreConfig,
                 max_parents: int | None = None) -> LearnResult:
-    """Provably optimal network for the criterion, via the subset DP."""
-    start = time.perf_counter()
-    n = data.n_vars
-    table = compute_local_scores(data, cfg, max_parents)
-    parents = [()] * n
-    per = [0.0] * n
-    for s, mask, score in _search(table.scores):
-        parents[s] = mask_to_parents(mask)
-        per[s] = score
-    g = DagStructure(n, tuple(parents), data.names)
-    return LearnResult(g, float(sum(per)), tuple(per),
-                       time.perf_counter() - start)
+    """Provably optimal network for the criterion, via the subset DP: the
+    one-config case of learn_criteria."""
+    return learn_criteria(data, (cfg,), max_parents)[0]
 
 
 def learn_bruteforce(data: Dataset, cfg: ScoreConfig) -> LearnResult:

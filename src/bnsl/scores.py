@@ -54,10 +54,11 @@ class ScoreConfig:
 @dataclass(frozen=True)
 class Criterion:
     """One local score written in two parts, shared by local_score and the
-    subset-keyed table (learner.compute_local_scores).
+    subset-keyed tables (learner.learn_criteria).
 
     cell(counts, cells, n_rows, cfg) is an elementwise term of a family's
-    count array over `cells` cells (a number, or an array that broadcasts
+    count array over `cells` cells (a number, or a pair (sizes, index): the
+    distinct cell counts, and per count an index into them that broadcasts
     against counts); the family sums it in its own order, child axis last.
     parent(term_sum, q, n_rows, cfg) is the parent set's term, a function
     of its q (its cell count) and of term_sum, the sum of its own cell
@@ -121,12 +122,14 @@ def _qnml_penalty(totals, r, n_rows, cfg, cache):
 
 def _bdeu_cells(counts, cells, n_rows, cfg):
     """BDeu with equivalent sample size cfg.bdeu_alpha: the a_jk = alpha /
-    (q r) cell term; unobserved cells contribute exactly 0."""
+    (q r) cell term; unobserved cells contribute exactly 0. gammaln(a_jk)
+    is evaluated once per distinct cell count."""
     # scipy's gammaln, not math.lgamma: the two round differently, and the
     # pinned scores depend on its rounding
     from scipy.special import gammaln
-    a_jk = cfg.bdeu_alpha / cells
-    return gammaln(a_jk + counts) - gammaln(a_jk)
+    sizes, index = cells if isinstance(cells, tuple) else ([cells], 0)
+    a_jk = cfg.bdeu_alpha / np.asarray(sizes)
+    return gammaln(a_jk[index] + counts) - gammaln(a_jk)[index]
 
 
 def _bdeu_parent(term_sum, q, n_rows, cfg):

@@ -11,7 +11,7 @@ from bnsl.dataset import MAX_TABLE_CELLS, Dataset
 from bnsl.errors import DataError, ResourceLimitError
 from bnsl.learner import (_best_parents, _best_sinks, _compress_mask,
                           _expand_mask, _search, compute_local_scores,
-                          learn_bruteforce, learn_exact)
+                          learn_bruteforce, learn_criteria, learn_exact)
 from bnsl.regret import METHODS
 from bnsl.scores import CRITERIA, ScoreConfig, local_score, total_score
 
@@ -299,6 +299,136 @@ def test_table_errors_match_per_family_errors():
     compute_local_scores(wide, ScoreConfig(), max_parents=1)
 
 
+@st.composite
+def batch_cases(draw):
+    """A dataset, a cap and a batch of configs: every criterion once, in
+    shuffled order, with drawn hyperparameters and regret methods, plus
+    duplicates of some of them and a few more drawn configs."""
+    def config(crit):
+        return ScoreConfig(criterion=crit,
+                           regret_method=draw(st.sampled_from(METHODS)),
+                           bdeu_alpha=draw(st.sampled_from([1.0, 0.3, 9.5])),
+                           bdq_alpha=draw(st.sampled_from([0.5, 1.0, 4.0])))
+
+    n = draw(st.integers(1, 7))
+    arities = draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
+    n_rows = draw(st.sampled_from([1, 2, 12, 80, 500]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    rows = np.stack([rng.integers(0, a, n_rows) for a in arities], axis=1)
+    declared = [a + draw(st.integers(0, 1)) for a in arities]
+    data = Dataset(tuple(f"X{i}" for i in range(n)), declared, rows)
+    cfgs = [config(crit) for crit in draw(st.permutations(CRITERIA))]
+    cfgs += draw(st.lists(st.sampled_from(cfgs), max_size=3))
+    cfgs += [config(crit) for crit in draw(
+        st.lists(st.sampled_from(CRITERIA), max_size=3))]
+    cfgs = draw(st.permutations(cfgs))
+    return data, tuple(cfgs), draw(st.sampled_from([None, 0, 1, 2, 3]))
+
+
+def _bits(values):
+    return np.array(values, dtype=np.float64).view(np.int64).tolist()
+
+
+def _mixed_hyperparameters_case():
+    """Configs of one criterion that differ only in the hyperparameter of
+    their cell terms, next to configs whose cell terms agree."""
+    rows = np.random.default_rng(1).integers(0, 3, (60, 4))
+    cfgs = (ScoreConfig(criterion="bdeu"),
+            ScoreConfig(criterion="bdeu", bdeu_alpha=9.5),
+            ScoreConfig(criterion="bdq"),
+            ScoreConfig(criterion="bdq", bdq_alpha=4.0),
+            ScoreConfig(criterion="fnml", regret_method="exact"),
+            ScoreConfig(criterion="bic", bdeu_alpha=0.3),
+            ScoreConfig(criterion="qnml"))
+    return Dataset(tuple("ABCD"), (3,) * 4, rows), cfgs, None
+
+
+@given(batch_cases())
+@example(_mixed_hyperparameters_case())
+@settings(max_examples=60, deadline=None)
+def test_batched_learn_equals_each_config_alone(case):
+    data, cfgs, max_parents = case
+    batch = learn_criteria(data, cfgs, max_parents)
+    assert len(batch) == len(cfgs)
+    for cfg, res in zip(cfgs, batch):
+        alone = learn_criteria(data, (cfg,), max_parents)[0]
+        assert res.network == alone.network
+        assert _bits(res.per_variable) == _bits(alone.per_variable)
+        assert _bits(res.total_score) == _bits(alone.total_score)
+    # every stacked table is the per-family table, bit for bit
+    tables = learner._score_tables(data, cfgs, max_parents)
+    assert tables.shape == (len(cfgs), data.n_vars, 1 << (data.n_vars - 1))
+    for cfg, table in zip(cfgs, tables):
+        assert _same_bits(table, _family_table(data, cfg, max_parents))
+
+
+def test_batch_counts_the_data_once():
+    # a batch of every criterion counts each block as often as one learn
+    rng = np.random.default_rng(3)
+    arities = (2, 3, 2, 4, 2, 3)
+    rows = np.stack([rng.integers(0, a, 200) for a in arities], axis=1)
+    data = Dataset(tuple(f"V{i}" for i in range(6)), arities, rows)
+    marginals = learner._marginals
+    for cap in (None, 2):
+        counts = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(learner, "_marginals",
+                       lambda *args: counts.append(1) or marginals(*args))
+            learn_exact(data, ScoreConfig(), cap)
+            alone = len(counts)
+            learn_criteria(data, [ScoreConfig(criterion=c)
+                                  for c in CRITERIA], cap)
+        assert len(counts) == 2 * alone
+
+
+def test_batch_raises_the_first_failing_configs_error():
+    # A, B, C of arities 2, 3, 3 with one parent at most. At this alpha
+    # only a family of 9 cells (B, C) gives a non-finite bdeu score, so the
+    # first failing child is B; at the smaller one it is A
+    rng = np.random.default_rng(0)
+    rows = np.stack([rng.integers(0, a, 40) for a in (2, 3, 3)], axis=1)
+    data = Dataset(("A", "B", "C"), (2, 3, 3), rows)
+    fails_at_b = ScoreConfig(criterion="bdeu", bdeu_alpha=4e-308)
+    fails_at_a = ScoreConfig(criterion="bdeu", bdeu_alpha=1e-310)
+    bdq = ScoreConfig(criterion="bdq", bdq_alpha=1e-310)
+    qnml = ScoreConfig(criterion="qnml")
+    alone = {}
+    for cfg in (fails_at_b, fails_at_a, bdq):
+        with pytest.raises(DataError, match="not finite") as exc:
+            learn_criteria(data, (cfg,), max_parents=1)
+        alone[cfg] = str(exc.value)
+    assert "'B'" in alone[fails_at_b] and "'A'" in alone[fails_at_a]
+    assert len(set(alone.values())) == 3
+    batches = [(qnml, fails_at_b), (fails_at_b, fails_at_a),
+               (qnml, fails_at_a, fails_at_b), (bdq, fails_at_b, fails_at_a),
+               (fails_at_a, qnml, bdq)]
+    for by_child in (False, True):
+        with pytest.MonkeyPatch.context() as mp:
+            if by_child:
+                # the join runs child by child, with no plan kept, so a
+                # later config meets its first failure (at A) before the
+                # first config meets its own (at B)
+                mp.setattr(learner, "_PLANS", learner._PlanCache())
+                mp.setattr(learner, "_PLAN_BYTES", 0)
+                mp.setattr(learner, "_GATHER_ENTRIES", 0)
+            for cfgs in batches:
+                first = next(cfg for cfg in cfgs if cfg in alone)
+                with pytest.raises(DataError) as exc:
+                    learn_criteria(data, cfgs, max_parents=1)
+                assert str(exc.value) == alone[first], cfgs
+    # a penalty's error, raised after every config is counted
+    empty = Dataset(("A", "B"), (2, 2), rows[:0, :2])
+    with pytest.raises(DataError, match="at least one data row"):
+        learn_criteria(empty, (qnml, ScoreConfig(criterion="bic")))
+    with pytest.raises(DataError, match="no score configs"):
+        learn_criteria(data, ())
+    # a duplicate config gets its own result, equal to the first's
+    bic = ScoreConfig(criterion="bic")
+    res = learn_criteria(data, [qnml, bic, qnml, qnml])
+    assert len(res) == 4 and res[0] == res[2] == res[3] != res[1]
+    assert res[0].network == learn_exact(data, qnml).network
+
+
 def test_fourteen_variable_learn_time_and_table_memory():
     # a binary chain with 20 % flips, N = 1000, qNML: the subset table
     # counts blocks of subsets, not 14 * 2^13 families, and holds one
@@ -370,11 +500,19 @@ def test_vectorized_sweeps_match_reference_loops(ties):
         popcount = np.array([bin(m).count("1") for m in range(1 << n)],
                             dtype=np.int8)
         scores[:, popcount[:shape[1]] > cap] = -np.inf
+        # a second table of the same shape, searched alone and stacked
+        other = np.where(np.isfinite(scores), rng.normal(size=shape), -np.inf)
+        stack = np.stack((scores, other, scores))
         ref_score, ref_set = _reference_best_parents(scores)
         best_score = _best_parents(scores)
         assert np.array_equal(best_score, ref_score)
         ref_best, ref_sink = _reference_sinks(ref_score)
-        assert np.array_equal(_best_sinks(best_score), ref_best)
+        assert np.array_equal(_best_sinks(best_score[None]), ref_best[None])
+        other_best = _reference_sinks(_reference_best_parents(other)[0])[0]
+        stacked_best = np.stack((ref_best, other_best, ref_best))
+        assert np.array_equal(
+            _best_sinks(_best_parents(stack.reshape(-1, shape[1])).reshape(
+                stack.shape)), stacked_best)
         # wide layers are scored in chunks; force several per layer, with
         # no plan kept, and pick parents one sink at a time
         with pytest.MonkeyPatch.context() as mp:
@@ -382,8 +520,10 @@ def test_vectorized_sweeps_match_reference_loops(ties):
             mp.setattr(learner, "_PLANS", learner._PlanCache())
             mp.setattr(learner, "_PLAN_BYTES", 0)
             mp.setattr(learner, "_GATHER_ENTRIES", 0)
-            assert np.array_equal(_best_sinks(best_score), ref_best)
-            uncached = _search(scores)
+            assert np.array_equal(_best_sinks(best_score[None]),
+                                  ref_best[None])
+            uncached = _search(scores[None])
+            uncached_stack = _search(stack)
         # the search breaks ties only while backtracking; it must pick the
         # oracles' sinks and parent sets, in the same order
         want = []
@@ -394,8 +534,11 @@ def test_vectorized_sweeps_match_reference_loops(ties):
             cm = _compress_mask(w, s)
             want.append((s, _expand_mask(int(ref_set[s, cm]), s),
                          float(ref_score[s, cm])))
-        assert _search(scores) == want
-        assert uncached == want
+        assert _search(scores[None]) == [want]
+        assert uncached == [want]
+        # a stacked search picks what each table's own search picks
+        alone = _search(other[None])[0]
+        assert _search(stack) == uncached_stack == [want, alone, want]
 
 
 def test_variable_count_guards():

@@ -53,6 +53,9 @@ seen = {"import bnsl": [0, "scipy" in sys.modules]}
 from bnsl.bench import bundled_path
 from bnsl.cli import main
 csv, net = bundled_path("web8_n500.csv"), bundled_path("web8.json")
+bnsl.learn_criteria(bnsl.load_dataset(csv), [
+    bnsl.ScoreConfig(criterion=c) for c in ("bic", "fnml", "qnml")])
+seen["learn_criteria bic fnml qnml"] = [0, "scipy" in sys.modules]
 learn = ["learn", "--data", csv, "--criterion"]
 runs = {"learn bic": learn + ["bic"], "learn fnml": learn + ["fnml"],
         "learn qnml": learn + ["qnml"],
@@ -71,7 +74,8 @@ print(json.dumps(seen))
 
 def test_default_learn_path_does_not_load_scipy():
     # scipy.special is most of the import time of a one-shot `bnsl learn`;
-    # only bdeu, bdq, exact regret and the brute-force oracles need it
+    # only bdeu, bdq, exact regret and the brute-force oracles need it, so
+    # neither a learn nor a batch of the N ln N criteria loads it
     proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE],
                           capture_output=True, text=True, check=True)
     seen = json.loads(proc.stdout.splitlines()[-1])

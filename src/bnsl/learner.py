@@ -130,8 +130,6 @@ def _score_tables(data: Dataset, cfgs, max_parents: int | None) -> np.ndarray:
     A config with a score that is not finite raises the DataError it
     raises alone; of several such configs, the first one's.
     """
-    if not cfgs:
-        raise DataError("no score configs to learn with")
     n = data.n_vars
     if max_parents is not None and max_parents < 0:
         raise DataError("max_parents must be nonnegative")
@@ -150,16 +148,16 @@ def _score_tables(data: Dataset, cfgs, max_parents: int | None) -> np.ndarray:
     # the groups of configs whose cell terms agree, as config indices
     shared = {}
     for i, (cfg, crit, _) in enumerate(scorers):
-        shared.setdefault((crit.cell, cfg.bdeu_alpha, cfg.bdq_alpha),
-                          []).append(i)
+        reads = None if crit.cell_reads is None else getattr(cfg,
+                                                             crit.cell_reads)
+        shared.setdefault((crit.cell, reads), []).append(i)
     groups = list(shared.values())
     n_rows = data.n_rows
     child_arities = sorted(set(arities))
     half = 1 << (n - 1)
     tables = np.full((len(cfgs), n, half), -np.inf)
-    flat = tables.reshape(-1)
-    # where each group's family sums go: its first config's table
-    owners = np.array([g[0] for g in groups])[:, None, None] * (n * half)
+    # each group's family sums go to its first config's table
+    owners = [tables[g[0]].reshape(-1) for g in groups]
     # per group and parent set P: the sum of P's cell terms in natural
     # order; per config, P's penalty per child arity
     parent = np.zeros((len(groups), 2 * half))
@@ -209,8 +207,10 @@ def _score_tables(data: Dataset, cfgs, max_parents: int | None) -> np.ndarray:
         if not b:
             terms = terms.reshape(len(groups), m, *bdims)
             for j in range(len(bdims)):
-                flat[owners[:, 0] + offsets[:, 2 + j]] = np.moveaxis(
-                    terms, 2 + j, -1).reshape(len(groups), m, -1).sum(-1)
+                sums = np.moveaxis(terms, 2 + j, -1).reshape(
+                    len(groups), m, -1).sum(axis=-1)
+                for g, flat in enumerate(owners):
+                    flat[offsets[:, 2 + j]] = sums[g]
             if len(bdims) <= cap:
                 parent[:, bmasks] = terms.reshape(len(groups), m, -1).sum(
                     axis=-1)
@@ -251,7 +251,8 @@ def _score_tables(data: Dataset, cfgs, max_parents: int | None) -> np.ndarray:
             pdest = plan.pdest + bmasks[:, None]
         else:
             fdest, pdest = plan.fdest[None], plan.pdest[None]
-        flat[owners + fdest] = sums[:, :, plan.fcols]
+        for g, flat in enumerate(owners):
+            flat[fdest] = sums[g][:, plan.fcols]
         parent[:, pdest] = sums[:, :, plan.pcols]
         penalty[:, :, pdest] = pens
 
@@ -281,12 +282,12 @@ def _score_tables(data: Dataset, cfgs, max_parents: int | None) -> np.ndarray:
             sums = tables[group[0], rows]
             if admissible is not None:
                 sums = sums[:, admissible]
-            term_sum = parent[g, sets]
+            term_sum = parent[g][sets]
             # the first config last, since its table holds the sums
             for i in reversed(group):
                 cfg, crit, _ = scorers[i]
                 row = crit.join(sums, crit.parent(term_sum, q, n_rows, cfg),
-                                penalty[i, rank[rows, None], sets])
+                                penalty[i][rank[rows, None], sets])
                 bad = ~np.isfinite(row)
                 if bad.any() and i not in errors:
                     v, j = np.argwhere(bad)[0]
@@ -314,6 +315,10 @@ _CAPPED_FILL = 16
 # one gather of sums or local scores holds at most this many entries, or
 # one row of them
 _GATHER_ENTRIES = 1 << 17
+# the tables of one learn_criteria run hold at most this many bytes, or one
+# table: all five criteria at n <= 14 share one run, and from n = 17 up
+# each config is its own run
+_BATCH_BYTES = 1 << 23
 # every cached index plan together holds at most this many bytes: all the
 # plans of a binary n = 14 learn (about 21 MiB) fit, and no sink-sweep plan
 # from n = 17 up (37 MiB and more), so large searches keep their peak
@@ -647,17 +652,18 @@ def _expand_mask(mask: int, child: int) -> int:
 def _best_parents(scores: np.ndarray) -> np.ndarray:
     """For every child (row) and candidate set C, the best score of a subset.
 
-    A max-zeta transform over the subset lattice, all children at once:
-    start each candidate set with its own score, then fold in the best of
-    each one-smaller subset, one bit at a time. max is exact, so every
-    result is bitwise equal to one entry of its row.
+    scores has shape (rows, 2^k), or (rows, 2^k, tables) for a stack of
+    tables of one shape. A max-zeta transform over the subset lattice, all
+    children at once: start each candidate set with its own score, then
+    fold in the best of each one-smaller subset, one bit at a time. max is
+    exact, so every result is bitwise equal to one entry of its row.
     """
-    rows, size = scores.shape
+    rows, size, *tables = scores.shape
     best = scores.copy()
     for b in range(size.bit_length() - 1):
         # axis 2 pairs every candidate set without bit b (index 0) with the
         # same set plus bit b (index 1)
-        v = best.reshape(rows, -1, 2, 1 << b)
+        v = best.reshape(rows, -1, 2, 1 << b, *tables)
         np.maximum(v[:, :, 0], v[:, :, 1], out=v[:, :, 1])
     return best
 
@@ -689,23 +695,24 @@ def _sweep_plan(n: int):
 
 
 def _best_sinks(best_score: np.ndarray) -> np.ndarray:
-    """Best network score of every variable subset w, per table: best_score
-    stacks the best-parent tables of one n, and row t of the result holds
-    table t's scores.
+    """Best network score of every variable subset w.
 
-    Subsets are swept one popcount layer at a time, so every subset one
-    smaller is final before w is scored. A wide layer is scored in chunks,
-    whose indices come from the sweep plan of n.
+    best_score is a best-parent table of shape (n, 2^(n-1)), and the result
+    has shape (2^n,); a stack of such tables along a last axis gives one
+    column of results per table. Subsets are swept one popcount layer at a
+    time, so every subset one smaller is final before w is scored. A wide
+    layer is scored in chunks, whose indices come from the sweep plan of n.
     """
-    count, n = best_score.shape[:2]
-    flat = best_score.reshape(count, -1)
+    n, half = best_score.shape[:2]
+    tables = best_score.shape[2:]
+    flat = best_score.reshape(n * half, *tables)
     # a sink s outside w meets w + {s}, still -inf in the layer above
-    best = np.full((count, 1 << n), -np.inf)
-    best[:, 0] = 0.0
+    best = np.full((1 << n, *tables), -np.inf)
+    best[0] = 0.0
     for w, rest, index in _sweep_plan(n):
-        total = best.take(rest, axis=1)
-        total += flat.take(index, axis=1)
-        best[:, w] = total.max(axis=1)
+        total = best.take(rest, axis=0)
+        total += flat.take(index, axis=0)
+        best[w] = total.max(axis=0)
         # a chunk built on the fly is freed before the next one is built
         del w, rest, index, total
     return best
@@ -715,35 +722,37 @@ def _search(tables: np.ndarray) -> list[list[tuple[int, int, float]]]:
     """Per local-score table of a (tables, n, 2^(n-1)) stack: (sink, parent
     mask, local score) of an optimal network, last sink first.
 
-    Both sweeps run on all tables at once. Ties are broken here, once per
-    variable: the smallest sink whose sum (the sweep's own float addition)
-    reaches the subset's best, then the parent subset of smallest
-    cardinality, then smallest mask, whose score equals the fold's best
-    exactly.
+    Both sweeps run on all tables at once, with the tables as the last
+    axis, so each step gathers every table's entries in one call; a single
+    table is swept as it is. Ties are broken here, once per variable: the
+    smallest sink whose sum (the sweep's own float addition) reaches the
+    subset's best, then the parent subset of smallest cardinality, then
+    smallest mask, whose score equals the fold's best exactly.
     """
     count, n, half = tables.shape
-    rows = tables.reshape(-1, half)
-    best_score = _best_parents(rows).reshape(tables.shape)
-    best = _best_sinks(best_score)
-    flat = best_score.reshape(-1)
+    stack = tables[0] if count == 1 else np.moveaxis(tables, 0, -1)
+    best_score = _best_parents(stack)
+    best = _best_sinks(best_score).reshape(1 << n, count)
+    fold = best_score.reshape(n * half, count)
     steps = []
     for t in range(count):
-        sweep, fold = best[t], flat[t * n * half:(t + 1) * n * half]
+        sweep, own = best[:, t], fold[:, t]
         w = (1 << n) - 1
         while w:
             # sweep[w] is the largest of these sums, so one of them reaches it
             for s in range(n):
                 rest = w ^ 1 << s
-                if rest < w and sweep[rest] + fold[
+                if rest < w and sweep[rest] + own[
                         s * half + _compress_mask(rest, s)] == sweep[w]:
                     break
             w = rest
-            steps.append((t * n + s, w))
+            steps.append((t, s, w))
     # the parent sets of every table's sinks at once, a few sinks per pass
-    row, rest = np.array(steps).T
-    sinks = row % n
+    table, sinks, rest = np.array(steps).T
     candidates = _compress_mask(rest, sinks)
-    best = flat[row * half + candidates]
+    best = fold[sinks * half + candidates, table]
+    rows = tables.reshape(-1, half)
+    row = table * n + sinks
     popcount = _popcounts(n)[:half]
     masks = np.arange(half, dtype=np.int32)
     candidates = candidates.astype(np.int32)
@@ -767,21 +776,30 @@ def learn_criteria(data: Dataset, cfgs,
     The data is counted once for all configs, and configs whose cell terms
     agree (bic, fnml and qnml) share their sums; the search runs on all
     tables at once. Each result equals that of the config learned alone,
-    bit for bit, and its elapsed is the whole batch's wall time. The
-    batch holds every config's table at once, so peak memory grows with
-    the number of configs.
+    bit for bit, and its elapsed is the whole call's wall time. A batch
+    holds every config's table at once, so the configs are learned in runs
+    whose tables fit _BATCH_BYTES together, or one config a run: peak
+    memory grows with the number of configs only while the tables are
+    small. Of several failing configs, the first one's DataError is raised.
     """
     start = time.perf_counter()
+    cfgs = tuple(cfgs)
+    if not cfgs:
+        raise DataError("no score configs to learn with")
     n = data.n_vars
+    step = max(1, _BATCH_BYTES // (8 * n << (n - 1)))
     networks = []
-    for picks in _search(_score_tables(data, tuple(cfgs), max_parents)):
-        parents = [()] * n
-        per = [0.0] * n
-        for s, mask, score in picks:
-            parents[s] = mask_to_parents(mask)
-            per[s] = score
-        networks.append((DagStructure(n, tuple(parents), data.names),
-                         float(sum(per)), tuple(per)))
+    for run in range(0, len(cfgs), step):
+        tables = _score_tables(data, cfgs[run:run + step], max_parents)
+        for picks in _search(tables):
+            parents = [()] * n
+            per = [0.0] * n
+            for s, mask, score in picks:
+                parents[s] = mask_to_parents(mask)
+                per[s] = score
+            networks.append((DagStructure(n, tuple(parents), data.names),
+                             float(sum(per)), tuple(per)))
+        del tables
     elapsed = time.perf_counter() - start
     return tuple(LearnResult(*network, elapsed) for network in networks)
 

@@ -68,12 +68,16 @@ class Criterion:
     arity r; it takes a batch of parent sets of one cell count, one row of
     totals each, and returns one value per row. join(cell_sum, parent,
     penalty) gives the score; it works elementwise on arrays of families.
+    cell_reads names the ScoreConfig field that cell reads, None if it
+    reads none: two configs whose cell and that field agree have the same
+    cell terms.
     """
 
     cell: Callable
     parent: Callable
     penalty: Callable
     join: Callable
+    cell_reads: str | None = None
 
 
 def _xlogx_cells(counts, cells, n_rows, cfg):
@@ -180,10 +184,12 @@ def _bdq_join(cell_sum, parent, penalty):
 _LOGLIK = dict(cell=_xlogx_cells, parent=_loglik_parent, join=_loglik_join)
 _CRITERIA = {
     "bic": Criterion(penalty=_bic_penalty, **_LOGLIK),
-    "bdeu": Criterion(_bdeu_cells, _bdeu_parent, _no_penalty, _bdeu_join),
+    "bdeu": Criterion(_bdeu_cells, _bdeu_parent, _no_penalty, _bdeu_join,
+                      "bdeu_alpha"),
     "fnml": Criterion(penalty=_fnml_penalty, **_LOGLIK),
     "qnml": Criterion(penalty=_qnml_penalty, **_LOGLIK),
-    "bdq": Criterion(_bdq_cells, _bdq_parent, _bdq_penalty, _bdq_join),
+    "bdq": Criterion(_bdq_cells, _bdq_parent, _bdq_penalty, _bdq_join,
+                     "bdq_alpha"),
 }
 CRITERIA = tuple(_CRITERIA)
 

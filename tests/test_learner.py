@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import time
 import tracemalloc
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from bnsl import learner
+from bnsl import learner, scores
 from bnsl.dataset import MAX_TABLE_CELLS, Dataset
 from bnsl.errors import DataError, ResourceLimitError
 from bnsl.learner import (_best_parents, _best_sinks, _compress_mask,
@@ -343,12 +344,16 @@ def _mixed_hyperparameters_case():
     return Dataset(tuple("ABCD"), (3,) * 4, rows), cfgs, None
 
 
-@given(batch_cases())
-@example(_mixed_hyperparameters_case())
+@given(batch_cases(), st.sampled_from([learner._BATCH_BYTES, 512, 0]))
+@example(_mixed_hyperparameters_case(), learner._BATCH_BYTES)
 @settings(max_examples=60, deadline=None)
-def test_batched_learn_equals_each_config_alone(case):
+def test_batched_learn_equals_each_config_alone(case, batch_bytes):
     data, cfgs, max_parents = case
-    batch = learn_criteria(data, cfgs, max_parents)
+    # a budget of 512 bytes holds five tables of n = 3, two of n = 4 and
+    # one from n = 5 up; 0 learns each config in a run of its own
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(learner, "_BATCH_BYTES", batch_bytes)
+        batch = learn_criteria(data, cfgs, max_parents)
     assert len(batch) == len(cfgs)
     for cfg, res in zip(cfgs, batch):
         alone = learn_criteria(data, (cfg,), max_parents)[0]
@@ -381,6 +386,77 @@ def test_batch_counts_the_data_once():
         assert len(counts) == 2 * alone
 
 
+def test_configs_share_cell_terms_unless_a_field_they_read_differs():
+    # each cell function counts its calls; a batch evaluates the cell terms
+    # of configs whose cell function and the field it reads agree once
+    rows = np.random.default_rng(5).integers(0, 3, (50, 4))
+    data = Dataset(tuple("ABCD"), (3,) * 4, rows)
+    calls = []
+    counted = {}
+
+    def counting(name):
+        crit = scores.criterion(name)
+        if crit.cell not in counted:
+            def cell(*args, _cell=crit.cell):
+                calls.append(_cell)
+                return _cell(*args)
+            counted[crit.cell] = cell
+        return dataclasses.replace(crit, cell=counted[crit.cell])
+
+    def evaluations(cfgs):
+        calls.clear()
+        learn_criteria(data, cfgs)
+        return len(calls)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(learner, "criterion", counting)
+        once = evaluations([ScoreConfig(criterion="qnml")])
+        assert once > 0
+        # loglik reads no hyperparameter, bdeu reads bdeu_alpha alone and
+        # bdq bdq_alpha alone
+        assert evaluations([ScoreConfig(criterion="bic", bdeu_alpha=3.0),
+                            ScoreConfig(criterion="qnml"),
+                            ScoreConfig(criterion="fnml", bdq_alpha=2.0,
+                                        regret_method="exact")]) == once
+        assert evaluations([ScoreConfig(criterion="bdeu"),
+                            ScoreConfig(criterion="bdeu", bdq_alpha=2.0)]
+                           ) == once
+        assert evaluations([ScoreConfig(criterion="bdq"),
+                            ScoreConfig(criterion="bdq", bdeu_alpha=3.0)]
+                           ) == once
+        assert evaluations([ScoreConfig(criterion="bdeu"),
+                            ScoreConfig(criterion="bdeu", bdeu_alpha=3.0),
+                            ScoreConfig(criterion="bdq"),
+                            ScoreConfig(criterion="bdq", bdq_alpha=2.0)]
+                           ) == 4 * once
+
+
+def test_large_tables_are_learned_in_runs_within_the_budget():
+    # with room for two tables, five configs are learned in runs of two,
+    # two and one, each run counting the data once, with the results of
+    # one batch
+    rng = np.random.default_rng(6)
+    data = Dataset(tuple(f"V{i}" for i in range(6)), (2,) * 6,
+                   rng.integers(0, 2, (120, 6)))
+    cfgs = [ScoreConfig(criterion=c) for c in CRITERIA]
+    whole = learn_criteria(data, cfgs)
+    score_tables = learner._score_tables
+    runs = []
+
+    def counted(data, cfgs, max_parents):
+        runs.append(len(cfgs))
+        return score_tables(data, cfgs, max_parents)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(learner, "_score_tables", counted)
+        mp.setattr(learner, "_BATCH_BYTES", 2 * 8 * 6 << 5)
+        split = learn_criteria(data, cfgs)
+    assert runs == [2, 2, 1]
+    for a, b in zip(whole, split):
+        assert a.network == b.network
+        assert _bits(a.per_variable) == _bits(b.per_variable)
+
+
 def test_batch_raises_the_first_failing_configs_error():
     # A, B, C of arities 2, 3, 3 with one parent at most. At this alpha
     # only a family of 9 cells (B, C) gives a non-finite bdeu score, so the
@@ -402,15 +478,18 @@ def test_batch_raises_the_first_failing_configs_error():
     batches = [(qnml, fails_at_b), (fails_at_b, fails_at_a),
                (qnml, fails_at_a, fails_at_b), (bdq, fails_at_b, fails_at_a),
                (fails_at_a, qnml, bdq)]
-    for by_child in (False, True):
+    for mode in ("batch", "by child", "runs"):
         with pytest.MonkeyPatch.context() as mp:
-            if by_child:
+            if mode == "by child":
                 # the join runs child by child, with no plan kept, so a
                 # later config meets its first failure (at A) before the
                 # first config meets its own (at B)
                 mp.setattr(learner, "_PLANS", learner._PlanCache())
                 mp.setattr(learner, "_PLAN_BYTES", 0)
                 mp.setattr(learner, "_GATHER_ENTRIES", 0)
+            if mode == "runs":
+                # every config in a run of its own
+                mp.setattr(learner, "_BATCH_BYTES", 0)
             for cfgs in batches:
                 first = next(cfg for cfg in cfgs if cfg in alone)
                 with pytest.raises(DataError) as exc:
@@ -507,12 +586,14 @@ def test_vectorized_sweeps_match_reference_loops(ties):
         best_score = _best_parents(scores)
         assert np.array_equal(best_score, ref_score)
         ref_best, ref_sink = _reference_sinks(ref_score)
-        assert np.array_equal(_best_sinks(best_score[None]), ref_best[None])
+        assert np.array_equal(_best_sinks(best_score), ref_best)
+        # a stack of tables along a last axis, one column per table
         other_best = _reference_sinks(_reference_best_parents(other)[0])[0]
-        stacked_best = np.stack((ref_best, other_best, ref_best))
-        assert np.array_equal(
-            _best_sinks(_best_parents(stack.reshape(-1, shape[1])).reshape(
-                stack.shape)), stacked_best)
+        stacked_best = np.stack((ref_best, other_best, ref_best), axis=-1)
+        stacked_score = _best_parents(np.moveaxis(stack, 0, -1))
+        assert np.array_equal(stacked_score[..., 1],
+                              _reference_best_parents(other)[0])
+        assert np.array_equal(_best_sinks(stacked_score), stacked_best)
         # wide layers are scored in chunks; force several per layer, with
         # no plan kept, and pick parents one sink at a time
         with pytest.MonkeyPatch.context() as mp:
@@ -520,8 +601,8 @@ def test_vectorized_sweeps_match_reference_loops(ties):
             mp.setattr(learner, "_PLANS", learner._PlanCache())
             mp.setattr(learner, "_PLAN_BYTES", 0)
             mp.setattr(learner, "_GATHER_ENTRIES", 0)
-            assert np.array_equal(_best_sinks(best_score[None]),
-                                  ref_best[None])
+            assert np.array_equal(_best_sinks(best_score), ref_best)
+            assert np.array_equal(_best_sinks(stacked_score), stacked_best)
             uncached = _search(scores[None])
             uncached_stack = _search(stack)
         # the search breaks ties only while backtracking; it must pick the

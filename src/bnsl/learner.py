@@ -22,8 +22,11 @@ depend on the criterion, so the batch counts the data once; bic, fnml and
 qnml share the maximized log-likelihood and differ only in their penalty,
 so configs whose cell terms agree share those terms and their sums. Only
 the penalties and the final join are per config, and the search runs on
-all tables at once. Every operation is the one a single config does, so
-each result equals that config's own learn bit for bit.
+all tables at once, the tables as its last axis. Every operation is the
+one a single config does, so each result equals that config's own learn
+bit for bit. A batch's tables stay within _BATCH_BYTES, or one table:
+beyond that the configs are learned in runs, so large tables do not
+multiply the peak memory by the number of configs.
 
 The index work of a learn depends on its shape alone (n, the arities and
 the cap), not on the data: where each family's cells sit in a block, where
@@ -110,8 +113,9 @@ def _score_tables(data: Dataset, cfgs, max_parents: int | None) -> np.ndarray:
     integer sums. Blocks of one shape are counted together, as many in one
     tensor as fit _BLOCK_CELLS.
 
-    Configs whose cell terms agree (one cell function and the same
-    hyperparameters: bic, fnml and qnml all sum N ln N) form a group. Each
+    Configs whose cell terms agree (one cell function, and the same value
+    of the config field it reads, see scores.Criterion: bic, fnml and qnml
+    all sum N ln N) form a group. Each
     group's cell terms are evaluated once over a batch's tensor, and the
     sums of every group are taken in the same numpy calls. The shape's
     cached plan (see _block_plan) groups its rows by cell count, not by

@@ -115,9 +115,9 @@ def _score_tables(data: Dataset, cfgs, max_parents: int | None) -> np.ndarray:
 
     Configs whose cell terms agree (one cell function, and the same value
     of the config field it reads, see scores.Criterion: bic, fnml and qnml
-    all sum N ln N) form a group. Each
-    group's cell terms are evaluated once over a batch's tensor, and the
-    sums of every group are taken in the same numpy calls. The shape's
+    all sum N ln N) form a group. Each group's cell terms are evaluated
+    once over a batch's tensor, and the sums of every group are taken in
+    the same numpy calls. The shape's
     cached plan (see _block_plan) groups its rows by cell count, not by
     arity sequence: one row per family, its cells in that family's order,
     and one per parent set within the cap, its cells in natural order. In

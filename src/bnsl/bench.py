@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .dataset import Dataset, load_dataset
-from .errors import DataError
+from .errors import DataError, integer
 from .learner import learn_criteria
 from .model import (fit_bpp, fit_ml, fit_snml, load_network,
                     mean_test_loglik, sample)
@@ -65,15 +65,15 @@ class ExperimentSpec:
         if not self.criteria:
             raise DataError("criteria list is empty")
         object.__setattr__(self, "sample_sizes", tuple(
-            _integer(n, "each sample size")
+            integer(n, "each sample size")
             for n in _items(self.sample_sizes, "sample sizes")))
         if any(n <= 0 for n in self.sample_sizes):
             raise DataError("sample sizes must be positive")
         object.__setattr__(self, "repetitions",
-                           _integer(self.repetitions, "repetitions"))
+                           integer(self.repetitions, "repetitions"))
         if self.repetitions < 1:
             raise DataError("repetitions must be at least 1")
-        object.__setattr__(self, "seed", _integer(self.seed, "seed"))
+        object.__setattr__(self, "seed", integer(self.seed, "seed"))
         if self.seed < 0:
             raise DataError("seed must be nonnegative")
         for field in ("networks", "datasets"):
@@ -99,12 +99,6 @@ def _items(value, what: str) -> tuple:
     if not isinstance(value, (list, tuple)):
         raise DataError(f"{what} must be a list, got {value!r}")
     return tuple(value)
-
-
-def _integer(value, what: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise DataError(f"{what} must be an integer, got {value!r}")
-    return int(value)
 
 
 _JSON_KEYS = {

@@ -1,4 +1,7 @@
-"""Shared exception types, mapped onto CLI exit codes."""
+"""Shared exception types, mapped onto CLI exit codes, and the integer
+check of arguments from outside the program."""
+
+import numbers
 
 
 class DataError(ValueError):
@@ -7,3 +10,10 @@ class DataError(ValueError):
 
 class ResourceLimitError(RuntimeError):
     """Instance exceeds a hard resource guard (CLI exit code 3)."""
+
+
+def integer(value, what: str) -> int:
+    """value as an int: a DataError unless it is an integer, bool excluded."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise DataError(f"{what} must be an integer, got {value!r}")
+    return int(value)

@@ -50,9 +50,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .dataset import MAX_TABLE_CELLS, Dataset
-from .errors import DataError, ResourceLimitError
+from .errors import DataError, ResourceLimitError, integer
 from .regret import shared_cache
-from .scores import ScoreConfig, criterion
+from .scores import ScoreConfig, criterion, not_finite
 from .structure import (DagStructure, dag_from_masks, enumerate_dags,
                         mask_to_parents)
 
@@ -90,9 +90,27 @@ def compute_local_scores(data: Dataset, cfg: ScoreConfig,
     """Score every admissible (child, parent set) pair: the table that
     learn_criteria builds for one config (see _score_tables). Each entry
     equals local_score of its family bit for bit."""
+    cfgs, max_parents = _checked((cfg,), max_parents)
     return LocalScoreTable(data.n_vars,
-                           _score_tables(data, (cfg,), max_parents)[0],
+                           _score_tables(data, cfgs, max_parents)[0],
                            max_parents)
+
+
+def _checked(cfgs, max_parents):
+    """The configs as a tuple and the cap as an int or None; any other
+    argument is a DataError, raised before any work."""
+    cfgs = tuple(cfgs)
+    if not cfgs:
+        raise DataError("no score configs to learn with")
+    for cfg in cfgs:
+        if not isinstance(cfg, ScoreConfig):
+            raise DataError(f"a score config must be a ScoreConfig, got "
+                            f"{cfg!r}")
+    if max_parents is not None:
+        max_parents = integer(max_parents, "max_parents")
+        if max_parents < 0:
+            raise DataError("max_parents must be nonnegative")
+    return cfgs, max_parents
 
 
 # a non-finite entry is a DataError, so the operations that make one stay quiet
@@ -125,18 +143,16 @@ def _score_tables(data: Dataset, cfgs, max_parents: int | None) -> np.ndarray:
     family sum and every parent set's term sum; a large one takes its
     subsets' cells per arity sequence, then each row's order. A subset
     counted alone (b = 0) is summed child by child. A group's family sums
-    land in its first config's table. Penalties are evaluated per config;
-    a parent set's term is read from its own term sum (see
-    scores.Criterion), and the sums, parent terms and penalties are joined
-    for all children at once, per config. Each entry equals local_score of
-    its family under its config bit for bit.
+    land in its first config's table. Penalties are evaluated per config,
+    and each config's join takes the family sums, the parent sets' own term
+    sums and the penalties of all children at once (see scores.Criterion).
+    Each entry equals local_score of its family under its config bit for
+    bit.
 
     A config with a score that is not finite raises the DataError it
     raises alone; of several such configs, the first one's.
     """
     n = data.n_vars
-    if max_parents is not None and max_parents < 0:
-        raise DataError("max_parents must be nonnegative")
     if n > MAX_VARS:
         raise ResourceLimitError(
             f"{n} variables exceed the subset search limit of {MAX_VARS}")
@@ -261,7 +277,7 @@ def _score_tables(data: Dataset, cfgs, max_parents: int | None) -> np.ndarray:
         penalty[:, :, pdest] = pens
 
     columns = data.rows.T.copy()
-    top, shapes = _block_shapes(arities, cap)
+    top, shapes, cells = _block_shapes(arities, cap)
     prefix = np.zeros(n_rows, dtype=np.int64)
     for v in range(top):
         prefix = prefix * arities[v] + columns[v]
@@ -277,7 +293,6 @@ def _score_tables(data: Dataset, cfgs, max_parents: int | None) -> np.ndarray:
             count(b, bdims, bvars[batch], bmasks[batch], offsets[batch], plan)
 
     rank = np.searchsorted(child_arities, arities)
-    cells = _set_cells(arities)
     admissible, chunks = _join_plan(n, cap)
     for c, sets in chunks:
         rows = slice(c, c + len(sets))
@@ -290,14 +305,12 @@ def _score_tables(data: Dataset, cfgs, max_parents: int | None) -> np.ndarray:
             # the first config last, since its table holds the sums
             for i in reversed(group):
                 cfg, crit, _ = scorers[i]
-                row = crit.join(sums, crit.parent(term_sum, q, n_rows, cfg),
-                                penalty[i][rank[rows, None], sets])
+                pens = penalty[i][rank[rows, None], sets]
+                row = crit.join(sums, term_sum, q, pens, n_rows, cfg)
                 bad = ~np.isfinite(row)
                 if bad.any() and i not in errors:
                     v, j = np.argwhere(bad)[0]
-                    errors[i] = DataError(
-                        f"{cfg.criterion} local score of "
-                        f"{data.names[c + v]!r} is {row[v, j]}, not finite")
+                    errors[i] = not_finite(cfg, data.names[c + v], row[v, j])
                 if admissible is None:
                     tables[i, rows] = row
                 else:
@@ -372,11 +385,12 @@ _PLANS = _PlanCache()
 
 def _block_shapes(arities: tuple[int, ...], cap: int):
     """The cached blocks of a learn over variables of these arities with at
-    most cap parents: (top, shapes). top is the widest prefix of variables
-    whose marginal tensor fits one block. Per block shape (b, the arities of
-    B), shapes holds (b, B's arities, the cells of one block's tensor, then
-    per block B's variables ascending, B's mask and the table offsets that
-    count adds to its plan's positions).
+    most cap parents: (top, shapes, cells). top is the widest prefix of
+    variables whose marginal tensor fits one block. Per block shape (b, the
+    arities of B), shapes holds (b, B's arities, the cells of one block's
+    tensor, then per block B's variables ascending, B's mask and the table
+    offsets that count adds to its plan's positions). cells holds the cells
+    of every variable subset, indexed by its mask.
 
     The first block is (n, {}). A block is split on variable b - 1 into
     (b - 1, B) and (b - 1, B + {b - 1}) while its marginal tensor exceeds
@@ -397,8 +411,10 @@ def _build_block_shapes(arities, cap):
     # the cells of their subsets of at most j variables
     widths = [1]
     capped = [[1] * (cap + 2)]
+    cells = np.ones(1, dtype=np.int64)
     for r in arities:
         widths.append(widths[-1] * (r + 1))
+        cells = np.concatenate((cells, cells * r))
         c = capped[-1]
         capped.append([1] + [c[j] + r * c[j - 1] for j in range(1, cap + 2)])
     top = sum(w <= _BLOCK_CELLS for w in widths) - 1
@@ -430,7 +446,7 @@ def _build_block_shapes(arities, cap):
              bvars * half + _compress_mask(bmasks[:, None], bvars)))
         out.append((b, bdims, widths[b] * math.prod(bdims), bvars, bmasks,
                     offsets))
-    return top, tuple(out)
+    return top, tuple(out), cells
 
 
 def _marginals(joint: np.ndarray, blocks: int, low: tuple[int, ...],
@@ -606,16 +622,6 @@ def _orders(dims: tuple[int, ...], own: bool) -> np.ndarray:
     return orders
 
 
-def _set_cells(arities: tuple[int, ...]) -> np.ndarray:
-    """The cells of every variable subset, indexed by its mask."""
-    def build():
-        cells = np.ones(1, dtype=np.int64)
-        for r in arities:
-            cells = np.concatenate((cells, cells * r))
-        return cells
-    return _PLANS.get(("cells", arities), build)
-
-
 def _join_plan(n: int, cap: int):
     """The admissible parent-set columns (None: all of them), and per chunk
     of children, (first child, each child's parent sets as masks over all
@@ -672,24 +678,21 @@ def _best_parents(scores: np.ndarray) -> np.ndarray:
     return best
 
 
-# the sink sweep scores at most this many subsets of one layer at a time,
-# which bounds its n x chunk temporaries
-_SWEEP_CHUNK = 1 << 13
-
-
 def _sweep_plan(n: int):
     """Per chunk of subsets w, one popcount layer after another: w, w
     without each sink s (row s), and the index of w's best parent score for
-    s in the flattened n x 2^(n-1) best-parent table."""
+    s in the flattened n x 2^(n-1) best-parent table. A chunk's n x chunk
+    gathers hold at most _GATHER_ENTRIES entries, or one subset's."""
     half = 1 << (n - 1)
     popcount = _popcounts(n)
     sinks = np.arange(n)[:, None]
+    step = max(1, _GATHER_ENTRIES // n)
 
     def chunks():
         for k in range(1, n + 1):
             layer = np.flatnonzero(popcount == k)
-            for start in range(0, len(layer), _SWEEP_CHUNK):
-                w = layer[start:start + _SWEEP_CHUNK]
+            for start in range(0, len(layer), step):
+                w = layer[start:start + step]
                 yield (w, w ^ (1 << sinks),
                        sinks * half + _compress_mask(w, sinks))
     # w, and n rows each of rest and index, over every subset
@@ -787,9 +790,7 @@ def learn_criteria(data: Dataset, cfgs,
     small. Of several failing configs, the first one's DataError is raised.
     """
     start = time.perf_counter()
-    cfgs = tuple(cfgs)
-    if not cfgs:
-        raise DataError("no score configs to learn with")
+    cfgs, max_parents = _checked(cfgs, max_parents)
     n = data.n_vars
     step = max(1, _BATCH_BYTES // (8 * n << (n - 1)))
     networks = []

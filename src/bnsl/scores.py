@@ -1,9 +1,10 @@
 """Decomposable local scores for structure learning.
 
-Five criteria, BIC, BDeu, fNML, qNML and BDq, are each written in two
-parts (see Criterion): a sum of elementwise terms over the cells of the
-family {child} + parents, and terms of the parent set's cell totals and the
-child arity. A family's cells are the cells of its variable subset, so the
+Five criteria, BIC, BDeu, fNML, qNML and BDq, are each written as a cell
+term, a penalty and one join (see Criterion). The cell term is summed over
+the cells of the family {child} + parents and over the cells of the parent
+set; the penalty is a function of the parent set's cell totals and the child
+arity. A family's cells are the cells of its variable subset, so the
 local-score table counts each subset once and reuses each parent set's
 terms for every child. Every score is a natural-log quantity and decomposes
 over variables, so the network score is the sum of local terms. Parent
@@ -53,28 +54,26 @@ class ScoreConfig:
 
 @dataclass(frozen=True)
 class Criterion:
-    """One local score written in two parts, shared by local_score and the
-    subset-keyed tables (learner.learn_criteria).
+    """One local score as a cell term, a penalty and one join, shared by
+    local_score and the subset-keyed tables (learner.learn_criteria).
 
     cell(counts, cells, n_rows, cfg) is an elementwise term of a family's
     count array over `cells` cells (a number, or a pair (sizes, index): the
     distinct cell counts, and per count an index into them that broadcasts
     against counts); the family sums it in its own order, child axis last.
-    parent(term_sum, q, n_rows, cfg) is the parent set's term, a function
-    of its q (its cell count) and of term_sum, the sum of its own cell
-    terms in natural order: a parent set is itself a variable subset. It
-    works elementwise on arrays of parent sets. penalty(totals, r, n_rows,
-    cfg, cache) is a term of the parent set's cell totals and the child
-    arity r; it takes a batch of parent sets of one cell count, one row of
-    totals each, and returns one value per row. join(cell_sum, parent,
-    penalty) gives the score; it works elementwise on arrays of families.
-    cell_reads names the ScoreConfig field that cell reads, None if it
-    reads none: two configs whose cell and that field agree have the same
-    cell terms.
+    penalty(totals, r, n_rows, cfg, cache) is a term of the parent set's
+    cell totals and the child arity r; it takes a batch of parent sets of
+    one cell count, one row of totals each, and returns one value per row.
+    join(cell_sum, term_sum, q, penalty, n_rows, cfg) gives the score from
+    the family's cell sum, the parent set's q (its cell count), term_sum
+    (the sum of the parent set's own cell terms in natural order: a parent
+    set is itself a variable subset) and the penalty; it works elementwise
+    on arrays of families. cell_reads names the ScoreConfig field that cell
+    reads, None if it reads none: two configs whose cell and that field
+    agree have the same cell terms.
     """
 
     cell: Callable
-    parent: Callable
     penalty: Callable
     join: Callable
     cell_reads: str | None = None
@@ -85,15 +84,10 @@ def _xlogx_cells(counts, cells, n_rows, cfg):
     return _xlogx_table(n_rows)[counts]
 
 
-def _loglik_parent(term_sum, q, n_rows, cfg):
-    """The parent set's sum of N ln N over its cells: its own cell terms."""
-    return term_sum
-
-
-def _loglik_join(cell_sum, parent, penalty):
+def _loglik_join(cell_sum, term_sum, q, penalty, n_rows, cfg):
     """Maximized log-likelihood, clamped to <= 0 like counts_loglik, minus
-    the penalty."""
-    return np.minimum(cell_sum - parent, 0.0) - penalty
+    the penalty: term_sum is the parent set's sum of N ln N over its cells."""
+    return np.minimum(cell_sum - term_sum, 0.0) - penalty
 
 
 def _bic_penalty(totals, r, n_rows, cfg, cache):
@@ -136,18 +130,14 @@ def _bdeu_cells(counts, cells, n_rows, cfg):
     return gammaln(a_jk[index] + counts) - gammaln(a_jk)[index]
 
 
-def _bdeu_parent(term_sum, q, n_rows, cfg):
-    """BDeu's a_j = alpha / q term of the parent configurations: the parent
-    set's own cell terms, whose a_jk is alpha over its q cells, negated."""
-    return -term_sum
-
-
 def _no_penalty(totals, r, n_rows, cfg, cache):
     return np.zeros(len(totals))
 
 
-def _bdeu_join(cell_sum, parent, penalty):
-    return cell_sum + parent
+def _bdeu_join(cell_sum, term_sum, q, penalty, n_rows, cfg):
+    """BDeu's a_j = alpha / q terms of the parent configurations are the
+    parent set's own cell terms, whose a_jk is alpha over its q cells."""
+    return cell_sum - term_sum
 
 
 def _bdq_cells(counts, cells, n_rows, cfg):
@@ -163,39 +153,32 @@ def _bdq_norm(m: int, n_rows: int, alpha: float):
     return gammaln(m * alpha) - gammaln(m * alpha + n_rows)
 
 
-def _bdq_parent(term_sum, q, n_rows, cfg):
-    """Collapsed marginal likelihood of the parent set, as one categorical
-    over its full cell space."""
-    return _bdq_norm(q, n_rows, cfg.bdq_alpha) + term_sum
-
-
 def _bdq_penalty(totals, r, n_rows, cfg, cache):
     """The normalizing term of the collapsed family over q r cells."""
     return np.full(len(totals),
                    _bdq_norm(totals.shape[1] * r, n_rows, cfg.bdq_alpha))
 
 
-def _bdq_join(cell_sum, parent, penalty):
-    """Quotient Bayesian score: joint family marginal over parent-set
-    marginal."""
-    return (penalty + cell_sum) - parent
+def _bdq_join(cell_sum, term_sum, q, penalty, n_rows, cfg):
+    """Quotient Bayesian score: joint family marginal over the parent set's
+    collapsed marginal, one categorical over its full cell space."""
+    return (penalty + cell_sum) - (_bdq_norm(q, n_rows, cfg.bdq_alpha)
+                                   + term_sum)
 
 
-_LOGLIK = dict(cell=_xlogx_cells, parent=_loglik_parent, join=_loglik_join)
+_LOGLIK = dict(cell=_xlogx_cells, join=_loglik_join)
 _CRITERIA = {
     "bic": Criterion(penalty=_bic_penalty, **_LOGLIK),
-    "bdeu": Criterion(_bdeu_cells, _bdeu_parent, _no_penalty, _bdeu_join,
-                      "bdeu_alpha"),
+    "bdeu": Criterion(_bdeu_cells, _no_penalty, _bdeu_join, "bdeu_alpha"),
     "fnml": Criterion(penalty=_fnml_penalty, **_LOGLIK),
     "qnml": Criterion(penalty=_qnml_penalty, **_LOGLIK),
-    "bdq": Criterion(_bdq_cells, _bdq_parent, _bdq_penalty, _bdq_join,
-                     "bdq_alpha"),
+    "bdq": Criterion(_bdq_cells, _bdq_penalty, _bdq_join, "bdq_alpha"),
 }
 CRITERIA = tuple(_CRITERIA)
 
 
 def criterion(name: str) -> Criterion:
-    """The two-part definition of a criterion named in CRITERIA."""
+    """The definition of a criterion named in CRITERIA."""
     return _CRITERIA[name]
 
 
@@ -219,13 +202,18 @@ def local_score(data: Dataset, child: int, parents, cfg: ScoreConfig,
     q = totals.shape[1]
     score = float(crit.join(
         crit.cell(counts, counts.size, n_rows, cfg).sum(),
-        crit.parent(crit.cell(totals, q, n_rows, cfg).sum(axis=1), q,
-                    n_rows, cfg)[0],
-        crit.penalty(totals, counts.shape[1], n_rows, cfg, cache)[0]))
+        crit.cell(totals, q, n_rows, cfg).sum(axis=1)[0], q,
+        crit.penalty(totals, counts.shape[1], n_rows, cfg, cache)[0],
+        n_rows, cfg))
     if not math.isfinite(score):
-        raise DataError(f"{cfg.criterion} local score of "
-                        f"{data.names[child]!r} is {score}, not finite")
+        raise not_finite(cfg, data.names[child], score)
     return score
+
+
+def not_finite(cfg: ScoreConfig, name: str, score) -> DataError:
+    """The error of a local score of variable `name` that is not finite."""
+    return DataError(f"{cfg.criterion} local score of {name!r} is {score}, "
+                     "not finite")
 
 
 def per_variable_scores(data: Dataset, g: DagStructure, cfg: ScoreConfig,

@@ -594,10 +594,9 @@ def test_vectorized_sweeps_match_reference_loops(ties):
         assert np.array_equal(stacked_score[..., 1],
                               _reference_best_parents(other)[0])
         assert np.array_equal(_best_sinks(stacked_score), stacked_best)
-        # wide layers are scored in chunks; force several per layer, with
+        # wide layers are scored in chunks; force one subset per chunk, with
         # no plan kept, and pick parents one sink at a time
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(learner, "_SWEEP_CHUNK", 3)
             mp.setattr(learner, "_PLANS", learner._PlanCache())
             mp.setattr(learner, "_PLAN_BYTES", 0)
             mp.setattr(learner, "_GATHER_ENTRIES", 0)
@@ -638,6 +637,31 @@ def test_variable_count_guards():
                    np.zeros((4, n), dtype=np.int64))
     with pytest.raises(ResourceLimitError):
         learn_bruteforce(data, ScoreConfig(criterion="bic"))
+
+
+def test_learn_arguments_are_checked_before_any_work(rng):
+    data = random_dataset(rng, 4, 30)
+    cfg = ScoreConfig(criterion="bic")
+    learns = (lambda c, cap: learn_criteria(data, [cfg, c], cap),
+              lambda c, cap: learn_exact(data, c, cap),
+              lambda c, cap: compute_local_scores(data, c, cap))
+
+    def no_work(*args):
+        raise AssertionError("an argument was not checked")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(learner, "_score_tables", no_work)
+        for learn in learns:
+            for cap in (1.5, 1.0, math.nan, "1", True, -1):
+                with pytest.raises(DataError, match="max_parents"):
+                    learn(cfg, cap)
+            for other in ("qnml", None, {"criterion": "bic"}):
+                with pytest.raises(DataError, match="ScoreConfig"):
+                    learn(other, 1)
+    # numpy integers are integers
+    want = learn_exact(data, cfg, 1)
+    assert learn_exact(data, cfg, np.int64(1)).network == want.network
+    assert compute_local_scores(data, cfg, np.int8(1)).max_parents == 1
 
 
 def test_tied_optima_resolve_to_equivalent_graphs():

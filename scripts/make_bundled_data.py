@@ -7,6 +7,7 @@ live in its JSON file next to it; synth4 has no file and is declared here.
 Seeds are fixed, so output is byte-identical.
 """
 
+import argparse
 import pathlib
 
 import numpy as np
@@ -30,7 +31,15 @@ def synth4() -> BayesianNetwork:
     return BayesianNetwork(g, (2, 3, 2, 2), cpts)
 
 
-def main():
+def main(argv=None):
+    parser = argparse.ArgumentParser(
+        description="Regenerate the bundled CSV datasets.")
+    parser.add_argument("out_dir", nargs="?", type=pathlib.Path,
+                        default=DATA_DIR,
+                        help="directory to write the CSV files to "
+                             "(default: src/bnsl/data)")
+    out_dir = parser.parse_args(argv).out_dir
+    out_dir.mkdir(parents=True, exist_ok=True)
     datasets = {
         "synth4_n400.csv": (synth4(), 400, 20260504),
         "mixed6_n500.csv": (load_network(DATA_DIR / "mixed6.json"), 500,
@@ -38,8 +47,8 @@ def main():
         "web8_n500.csv": (load_network(DATA_DIR / "web8.json"), 500, 20260503),
     }
     for name, (net, n, seed) in datasets.items():
-        write_dataset(sample(net, n, seed=seed), DATA_DIR / name)
-        print("wrote", DATA_DIR / name)
+        write_dataset(sample(net, n, seed=seed), out_dir / name)
+        print("wrote", out_dir / name)
 
 
 if __name__ == "__main__":

@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__
 from .dataset import Dataset, load_dataset
 from .errors import DataError, integer
-from .learner import learn_criteria
+from .learner import learn_datasets
 from .model import (fit_bpp, fit_ml, fit_snml, load_network,
                     mean_test_loglik, sample)
 from .regret import regret_exact, regret_szp_all_range, regret_szp_small_r
@@ -180,9 +180,10 @@ def run_regret_table(spec: ExperimentSpec | None = None) -> list[list[str]]:
 def run_shd_curve(spec: ExperimentSpec) -> list[list[str]]:
     """Mean CPDAG distance to the generating network versus sample size.
 
-    One dataset is drawn per (sample size, repetition) and learned under
-    all criteria in one learn_criteria batch, so the columns are paired
-    comparisons on identical data, counted once.
+    One dataset is drawn per (sample size, repetition). The repetitions of
+    a sample size are learned under all criteria in one learn_datasets
+    batch, drawn as it consumes them, so the columns are paired comparisons
+    on identical data, and datasets of one shape are counted together.
     """
     if not spec.networks:
         raise DataError("shd-curve needs at least one network file")
@@ -193,9 +194,10 @@ def run_shd_curve(spec: ExperimentSpec) -> list[list[str]]:
         truth = to_cpdag(net.structure)
         for n in spec.sample_sizes:
             per_rep = np.empty((spec.repetitions, len(spec.criteria)))
-            for rep in range(spec.repetitions):
-                data = sample(net, n, seed=spec.seed + rep)
-                for j, res in enumerate(learn_criteria(data, cfgs)):
+            datasets = (sample(net, n, seed=spec.seed + rep)
+                        for rep in range(spec.repetitions))
+            for rep, results in enumerate(learn_datasets(datasets, cfgs)):
+                for j, res in enumerate(results):
                     per_rep[rep, j] = cpdag_shd(to_cpdag(res.network), truth)
             for j, crit in enumerate(spec.criteria):
                 col = per_rep[:, j]
@@ -232,10 +234,10 @@ def _predict_tables(spec: ExperimentSpec) -> list[list[str]]:
 
     Per repetition the rows are permuted once; each train fraction takes
     the leading slice of that permutation, so larger fractions extend the
-    smaller ones instead of resampling. Each split is learned under all
-    criteria in one learn_criteria batch. Each (dataset, criterion,
-    fraction) row holds the mean held-out log-likelihood, rank and
-    parameter count.
+    smaller ones instead of resampling. The splits of a repetition are
+    learned under all criteria in one learn_datasets batch. Each (dataset,
+    criterion, fraction) row holds the mean held-out log-likelihood, rank
+    and parameter count.
     """
     if not spec.datasets:
         raise DataError(f"{spec.kind} needs at least one dataset file")
@@ -249,17 +251,20 @@ def _predict_tables(spec: ExperimentSpec) -> list[list[str]]:
         for rep in range(spec.repetitions):
             perm = np.random.default_rng(spec.seed + rep).permutation(
                 data.n_rows)
-            for fi, fraction in enumerate(spec.train_fractions):
+            splits = []
+            for fraction in spec.train_fractions:
                 n_train = int(fraction * data.n_rows)
                 if n_train < 1 or n_train >= data.n_rows:
                     raise DataError(
                         f"train fraction {fraction} leaves an empty split "
                         f"for {data.n_rows} rows")
-                train = Dataset(data.names, data.arities,
-                                data.rows[perm[:n_train]])
-                test = Dataset(data.names, data.arities,
-                               data.rows[perm[n_train:]])
-                results = learn_criteria(train, cfgs)
+                splits.append((Dataset(data.names, data.arities,
+                                       data.rows[perm[:n_train]]),
+                               Dataset(data.names, data.arities,
+                                       data.rows[perm[n_train:]])))
+            learned = learn_datasets([train for train, _ in splits], cfgs)
+            for fi, ((train, test), results) in enumerate(zip(splits,
+                                                               learned)):
                 for ci, (crit, res) in enumerate(zip(spec.criteria, results)):
                     g = res.network
                     net = fit_for(crit)(train, g)

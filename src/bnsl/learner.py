@@ -16,17 +16,23 @@ AD-trees (Moore & Lee, JAIR 1998). The criterion's cell terms are
 evaluated once per batch, and the sums of a batch's rows that share a cell
 count are taken with one numpy call each.
 
-learn_criteria is the one learn path: it learns one dataset under a batch
-of score configs, and learn_exact is its one-config case. Counting does not
-depend on the criterion, so the batch counts the data once; bic, fnml and
-qnml share the maximized log-likelihood and differ only in their penalty,
-so configs whose cell terms agree share those terms and their sums. Only
-the penalties and the final join are per config, and the search runs on
-all tables at once, the tables as its last axis. Every operation is the
-one a single config does, so each result equals that config's own learn
-bit for bit. A batch's tables stay within _BATCH_BYTES, or one table:
-beyond that the configs are learned in runs, so large tables do not
-multiply the peak memory by the number of configs.
+learn_datasets is the one learn path: it learns datasets of one shape
+under a batch of score configs. learn_criteria is its one-dataset case,
+and learn_exact learn_criteria's one-config case. Counting does not depend
+on the criterion, so the batch counts the data once; bic, fnml and qnml
+share the maximized log-likelihood and differ only in their penalty, so
+configs whose cell terms agree share those terms and their sums. Datasets
+of one shape differ only in their counts: a dataset is one more leading
+digit of each block's joint index, so one bincount counts them all, the
+cell terms and their sums are taken over the stacked tensor, and the
+penalties and joins take every dataset's row count at once. The search
+runs on all (dataset, config) tables at once, the tables as its last axis.
+Every operation is the one a single config does on a single dataset, so
+each result equals its own learn bit for bit. The datasets are learned in
+runs whose tables fit _BATCH_BYTES, and whose rows or block tensors, n
+times over, fit _BLOCK_CELLS, or one dataset a run; beyond that a
+dataset's configs are learned in runs, so large tables do not multiply the
+peak memory by the number of configs.
 
 The index work of a learn depends on its shape alone (n, the arities and
 the cap), not on the data: where each family's cells sit in a block, where
@@ -88,11 +94,11 @@ class LearnResult:
 def compute_local_scores(data: Dataset, cfg: ScoreConfig,
                          max_parents: int | None = None) -> LocalScoreTable:
     """Score every admissible (child, parent set) pair: the table that
-    learn_criteria builds for one config (see _score_tables). Each entry
-    equals local_score of its family bit for bit."""
+    learn_datasets builds for one dataset and config (see _score_tables).
+    Each entry equals local_score of its family bit for bit."""
     cfgs, max_parents = _checked((cfg,), max_parents)
     return LocalScoreTable(data.n_vars,
-                           _score_tables(data, cfgs, max_parents)[0],
+                           _score_tables((data,), cfgs, max_parents)[0, 0],
                            max_parents)
 
 
@@ -115,9 +121,10 @@ def _checked(cfgs, max_parents):
 
 # a non-finite entry is a DataError, so the operations that make one stay quiet
 @np.errstate(invalid="ignore")
-def _score_tables(data: Dataset, cfgs, max_parents: int | None) -> np.ndarray:
-    """The local-score table of every config, stacked as one read-only
-    (configs, n, 2^(n-1)) array, counting each block of variable subsets
+def _score_tables(datasets, cfgs, max_parents: int | None) -> np.ndarray:
+    """The local-score table of every config and dataset (a sequence of
+    datasets of one arity tuple), stacked as one read-only (configs,
+    datasets, n, 2^(n-1)) array, counting each block of variable subsets
     once for all of them.
 
     A family {c} + P has the cells of the subset T = P + {c}, and every
@@ -125,11 +132,12 @@ def _score_tables(data: Dataset, cfgs, max_parents: int | None) -> np.ndarray:
     scores.Criterion). The subsets T with |T| <= cap + 1 are counted in the
     blocks of _block_shapes: every A within the first b variables, joined
     with one set B of later ones. One bincount of the block's joint index
-    (the first-b prefix index times cells(B), plus B's index) gives the
-    joint counts; appending to each of the b axes one slot that holds the
-    sum over that axis gives every A + B count array at once, by exact
-    integer sums. Blocks of one shape are counted together, as many in one
-    tensor as fit _BLOCK_CELLS.
+    (the dataset and the first-b prefix index, times cells(B), plus B's
+    index) gives the joint counts of every dataset; appending to each of
+    the b axes one slot that holds the sum over that axis gives every A + B
+    count array at once, by exact integer sums. Blocks of one shape are
+    counted together, as many in one tensor as fit _BLOCK_CELLS; a block's
+    datasets are the consecutive rows of the tensor, as the blocks are.
 
     Configs whose cell terms agree (one cell function, and the same value
     of the config field it reads, see scores.Criterion: bic, fnml and qnml
@@ -143,26 +151,20 @@ def _score_tables(data: Dataset, cfgs, max_parents: int | None) -> np.ndarray:
     family sum and every parent set's term sum; a large one takes its
     subsets' cells per arity sequence, then each row's order. A subset
     counted alone (b = 0) is summed child by child. A group's family sums
-    land in its first config's table. Penalties are evaluated per config,
-    and each config's join takes the family sums, the parent sets' own term
-    sums and the penalties of all children at once (see scores.Criterion).
-    Each entry equals local_score of its family under its config bit for
-    bit.
+    land in its first config's tables. Penalties are evaluated per config
+    over every dataset at once, and each config's join takes the family
+    sums, the parent sets' own term sums and the penalties of all children
+    and datasets at once, with each dataset's row count (see
+    scores.Criterion). Each entry equals local_score of its family under
+    its config on its dataset bit for bit.
 
-    A config with a score that is not finite raises the DataError it
-    raises alone; of several such configs, the first one's.
+    A score that is not finite raises the DataError that its dataset and
+    config raise alone; of several, the first dataset's, and of its configs
+    the first one's.
     """
-    n = data.n_vars
-    if n > MAX_VARS:
-        raise ResourceLimitError(
-            f"{n} variables exceed the subset search limit of {MAX_VARS}")
-    cap = n - 1 if max_parents is None else min(max_parents, n - 1)
-    arities = tuple(data.arities)
-    largest = math.prod(sorted(arities, reverse=True)[:cap + 1])
-    if largest > MAX_TABLE_CELLS:
-        raise ResourceLimitError(
-            f"a family with {largest} cells exceeds the dense-table guard of "
-            f"{MAX_TABLE_CELLS}")
+    n = datasets[0].n_vars
+    arities = tuple(datasets[0].arities)
+    cap, top, shapes, cells = _learn_shape(arities, max_parents)
     scorers = [(cfg, criterion(cfg.criterion),
                 shared_cache(cfg.regret_method)) for cfg in cfgs]
     # the groups of configs whose cell terms agree, as config indices
@@ -172,79 +174,91 @@ def _score_tables(data: Dataset, cfgs, max_parents: int | None) -> np.ndarray:
                                                              crit.cell_reads)
         shared.setdefault((crit.cell, reads), []).append(i)
     groups = list(shared.values())
-    n_rows = data.n_rows
+    nd = len(datasets)
+    sizes = [data.n_rows for data in datasets]
+    # per dataset, against the (blocks, datasets, parent sets) penalties
+    n_rows = np.array(sizes)[:, None]
     child_arities = sorted(set(arities))
     half = 1 << (n - 1)
-    tables = np.full((len(cfgs), n, half), -np.inf)
-    # each group's family sums go to its first config's table
+    tables = np.full((len(cfgs), nd, n, half), -np.inf)
+    # each group's family sums go to its first config's tables; dataset d's
+    # table starts at entry d n 2^(n-1)
     owners = [tables[g[0]].reshape(-1) for g in groups]
-    # per group and parent set P: the sum of P's cell terms in natural
-    # order; per config, P's penalty per child arity
-    parent = np.zeros((len(groups), 2 * half))
-    penalty = np.zeros((len(cfgs), len(child_arities), 2 * half))
+    starts = np.arange(nd) * (n * half)
+    # per group, dataset and parent set P: the sum of P's cell terms in
+    # natural order; per config and dataset, P's penalty per child arity
+    parent = np.zeros((len(groups), nd, 2 * half))
+    penalty = np.zeros((len(cfgs), nd, len(child_arities), 2 * half))
     errors = {}
 
     def penalize(totals, out):
-        """Write out[i, j], config i's penalties of each row of parent-set
-        totals and child arity j, in the shape of out[i, j]. A config's
-        first DataError is kept for the end, and its penalties read nan."""
-        shape = out.shape[2:]
+        """Write out[i, j], config i's penalties of parent-set totals of
+        shape (blocks, datasets, parent sets, cells) and child arity j. A
+        dataset's first DataError under a config is kept for the end, and
+        its penalties read nan."""
         for i, (cfg, crit, cache) in enumerate(scorers):
             for j, r in enumerate(child_arities):
                 try:
-                    out[i, j] = crit.penalty(totals, r, n_rows, cfg,
-                                             cache).reshape(shape)
-                except DataError as exc:
-                    errors.setdefault(i, exc)
-                    out[i, j] = np.nan
+                    out[i, j] = crit.penalty(totals, r, n_rows, cfg, cache)
+                except DataError:
+                    for d in range(nd):
+                        try:
+                            out[i, j, :, d] = crit.penalty(
+                                totals[:, d], r, sizes[d], cfg, cache)
+                        except DataError as exc:
+                            errors.setdefault((d, i), exc)
+                            out[i, j, :, d] = np.nan
 
     def count(b, bdims, bvars, bmasks, offsets, plan):
         """Count and score a batch of blocks (b, B) whose sets B have the
-        arities bdims, given as B's variables ascending. Block i's joint
-        index is offset by i times the cells of one block, so one bincount
-        counts them all, one block after another."""
+        arities bdims, given as B's variables ascending. Block i of dataset
+        d is tensor row i nd + d: its joint index is offset by that many
+        times the cells of one block, so one bincount counts them all."""
         m = len(bvars)
         low = arities[:b]
         bcells = math.prod(bdims)
+        # the prefix's leading digit is the dataset
         if b < top:
             joint = prefix // math.prod(arities[b:top])
         else:
             joint = prefix
         if bdims:
-            index = columns[bvars[:, 0]]
+            index = columns[bvars[:, 0] - lowest]
             for j in range(1, len(bdims)):
-                index = index * bdims[j] + columns[bvars[:, j]]
+                index = index * bdims[j] + columns[bvars[:, j] - lowest]
             size = math.prod(low) * bcells
-            index += np.arange(0, m * size, size)[:, None]
-            if b:
-                index += joint * bcells
+            index += np.arange(0, m * nd * size, nd * size)[:, None]
+            index += joint * bcells
             joint = index.reshape(-1)
-        cube = _marginals(joint, m, low, bcells)
-        # every group's cell terms, one group after another
-        terms = [crit.cell(cube, plan.cells if b else bcells, n_rows, cfg)
-                 for cfg, crit, _ in (scorers[g[0]] for g in groups)]
-        terms = np.stack(terms) if len(terms) > 1 else terms[0][None]
+        cube = _marginals(joint, m * nd, low, bcells)
+        # every group's cell terms, one group after another, in one array
+        terms = np.empty((len(groups), *cube.shape))
+        for g, group in enumerate(groups):
+            cfg, crit, _ = scorers[group[0]]
+            terms[g] = crit.cell(cube, plan.cells if b else bcells,
+                                 max(sizes), cfg)
         if not b:
-            terms = terms.reshape(len(groups), m, *bdims)
+            terms = terms.reshape(len(groups), m * nd, *bdims)
             for j in range(len(bdims)):
                 sums = np.moveaxis(terms, 2 + j, -1).reshape(
-                    len(groups), m, -1).sum(axis=-1)
+                    len(groups), m, nd, -1).sum(axis=-1)
                 for g, flat in enumerate(owners):
-                    flat[offsets[:, 2 + j]] = sums[g]
+                    flat[offsets[:, 2 + j, None] + starts] = sums[g]
             if len(bdims) <= cap:
-                parent[:, bmasks] = terms.reshape(len(groups), m, -1).sum(
-                    axis=-1)
-                pens = np.empty((len(cfgs), len(child_arities), m))
-                penalize(cube.reshape(m, -1), pens)
-                penalty[:, :, bmasks] = pens
+                parent[:, :, bmasks] = terms.reshape(
+                    len(groups), m, nd, -1).sum(axis=-1).swapaxes(1, 2)
+                pens = np.empty((len(cfgs), len(child_arities), m, nd, 1))
+                penalize(cube.reshape(m, nd, 1, -1), pens)
+                penalty[:, :, :, bmasks] = pens[..., 0].transpose(0, 3, 1, 2)
             return
         # positions pick single cells of a block's tensor, or with orders,
         # chunks of B's cells; the groups' rows are stacked
-        rows_all = len(groups) * m
+        rows_all = len(groups) * m * nd
         terms = terms.reshape(rows_all, *cube.shape[1:])
         cells = terms.reshape(rows_all, -1)
         sums = np.empty((rows_all, plan.rows))
-        pens = np.empty((len(cfgs), len(child_arities), m, len(plan.pdest)))
+        pens = np.empty((len(cfgs), len(child_arities), m, nd,
+                         len(plan.pdest)))
         start = 0
         for k, parts, first, parents in plan.groups:
             for rows, orders in parts:
@@ -263,27 +277,39 @@ def _score_tables(data: Dataset, cfgs, max_parents: int | None) -> np.ndarray:
                     part.sum(axis=-1, out=sums[:, start:end])
                     start = end
             if len(parents):
-                totals = np.take(cube, parents, axis=1).reshape(-1, k)
+                totals = np.take(cube, parents, axis=1).reshape(
+                    m, nd, len(parents), k)
                 penalize(totals, pens[..., first:first + len(parents)])
-        sums = sums.reshape(len(groups), m, -1)
+        sums = sums.reshape(len(groups), m, nd, -1)
         if bdims:
             fdest = plan.fdest + offsets[:, plan.fsel]
             pdest = plan.pdest + bmasks[:, None]
         else:
             fdest, pdest = plan.fdest[None], plan.pdest[None]
+        fdest = fdest[:, None] + starts[:, None]
         for g, flat in enumerate(owners):
-            flat[fdest] = sums[g][:, plan.fcols]
-        parent[:, pdest] = sums[:, :, plan.pcols]
-        penalty[:, :, pdest] = pens
+            flat[fdest] = sums[g][..., plan.fcols]
+        parent[:, :, pdest] = sums[..., plan.pcols].swapaxes(1, 2)
+        penalty[:, :, :, pdest] = pens.transpose(0, 3, 1, 2, 4)
 
-    columns = data.rows.T.copy()
-    top, shapes, cells = _block_shapes(arities, cap)
-    prefix = np.zeros(n_rows, dtype=np.int64)
-    for v in range(top):
-        prefix = prefix * arities[v] + columns[v]
+    # every dataset's index over the first top variables, its leading digit
+    # the dataset, and the columns of the variables from lowest up, which
+    # sets B draw on: each dataset's rows one after another, in one array each
+    lowest = min([b for b, bdims, *_ in shapes if bdims], default=n)
+    prefix = np.empty(sum(sizes), dtype=np.int64)
+    columns = np.empty((n - lowest, len(prefix)), dtype=np.int64)
+    radix = np.array([math.prod(arities[v + 1:top]) for v in range(top)],
+                     dtype=np.int64)
+    at = 0
+    for d, data in enumerate(datasets):
+        rows = slice(at, at + data.n_rows)
+        np.matmul(data.rows[:, :top], radix, out=prefix[rows])
+        prefix[rows] += d * math.prod(arities[:top])
+        columns[:, rows] = data.rows[:, lowest:].T
+        at += data.n_rows
     for b, bdims, size, bvars, bmasks, offsets in shapes:
         # a batch's tensor and its stacked index stay within the budget
-        step = max(1, _BLOCK_CELLS // max(size, n_rows))
+        step = max(1, _BLOCK_CELLS // max(nd * size, at))
         plan = None
         if b:
             plan = _block_plan(n, arities[:b], bdims,
@@ -298,30 +324,53 @@ def _score_tables(data: Dataset, cfgs, max_parents: int | None) -> np.ndarray:
         rows = slice(c, c + len(sets))
         q = cells[sets]
         for g, group in enumerate(groups):
-            sums = tables[group[0], rows]
+            sums = tables[group[0], :, rows]
             if admissible is not None:
-                sums = sums[:, admissible]
-            term_sum = parent[g][sets]
-            # the first config last, since its table holds the sums
+                sums = sums[..., admissible]
+            term_sum = parent[g][:, sets]
+            # the first config last, since its tables hold the sums
             for i in reversed(group):
                 cfg, crit, _ = scorers[i]
-                pens = penalty[i][rank[rows, None], sets]
-                row = crit.join(sums, term_sum, q, pens, n_rows, cfg)
+                pens = penalty[i][:, rank[rows, None], sets]
+                row = crit.join(sums, term_sum, q, pens, n_rows[:, None], cfg)
                 bad = ~np.isfinite(row)
-                if bad.any() and i not in errors:
-                    v, j = np.argwhere(bad)[0]
-                    errors[i] = not_finite(cfg, data.names[c + v], row[v, j])
+                if bad.any():
+                    # each dataset's first child, then parent set
+                    for d in np.flatnonzero(bad.any(axis=(1, 2))).tolist():
+                        v, j = np.argwhere(bad[d])[0]
+                        errors.setdefault((d, i), not_finite(
+                            cfg, datasets[d].names[c + v], row[d, v, j]))
                 if admissible is None:
-                    tables[i, rows] = row
+                    tables[i, :, rows] = row
                 else:
-                    tables[i][rows, admissible] = row
+                    tables[i][:, rows, admissible] = row
     if errors:
         raise errors[min(errors)]
     tables.flags.writeable = False
     return tables
 
 
-# a block's marginal tensor holds at most this many cells
+def _learn_shape(arities: tuple[int, ...], max_parents: int | None):
+    """The cap and the cached blocks (top, shapes, cells; see _block_shapes)
+    of a learn over variables of these arities. More variables than
+    MAX_VARS, or a family within the cap of more cells than
+    MAX_TABLE_CELLS, is a ResourceLimitError."""
+    n = len(arities)
+    if n > MAX_VARS:
+        raise ResourceLimitError(
+            f"{n} variables exceed the subset search limit of {MAX_VARS}")
+    cap = n - 1 if max_parents is None else min(max_parents, n - 1)
+    largest = math.prod(sorted(arities, reverse=True)[:cap + 1])
+    if largest > MAX_TABLE_CELLS:
+        raise ResourceLimitError(
+            f"a family with {largest} cells exceeds the dense-table guard of "
+            f"{MAX_TABLE_CELLS}")
+    return cap, *_block_shapes(arities, cap)
+
+
+# a block's marginal tensor holds at most this many cells, and a run of
+# datasets this many over n rows or tensor cells (five 5-variable samples
+# of 10 000 rows, four 8-variable binary datasets)
 _BLOCK_CELLS = 1 << 18
 # a block is split while the subsets within the cap fill less than
 # 1/_CAPPED_FILL of its marginal tensor. Timed on binary chains, N = 1000,
@@ -332,9 +381,9 @@ _CAPPED_FILL = 16
 # one gather of sums or local scores holds at most this many entries, or
 # one row of them
 _GATHER_ENTRIES = 1 << 17
-# the tables of one learn_criteria run hold at most this many bytes, or one
-# table: all five criteria at n <= 14 share one run, and from n = 17 up
-# each config is its own run
+# the tables of one learn_datasets run hold at most this many bytes, or one
+# table: all five criteria on one dataset at n <= 14 share one run, and
+# from n = 17 up each config is its own run
 _BATCH_BYTES = 1 << 23
 # every cached index plan together holds at most this many bytes: all the
 # plans of a binary n = 14 learn (about 21 MiB) fit, and no sink-sweep plan
@@ -776,9 +825,100 @@ def _search(tables: np.ndarray) -> list[list[tuple[int, int, float]]]:
     return [picks[t * n:(t + 1) * n] for t in range(count)]
 
 
+def learn_datasets(datasets, cfgs, max_parents: int | None = None
+                   ) -> tuple[tuple[LearnResult, ...], ...]:
+    """Per dataset, in order, the results learn_criteria gives it: a
+    provably optimal network per config, via the subset DP.
+
+    The datasets must share their arities; their row counts may differ.
+    They are learned in runs. A run's datasets are counted in one pass,
+    each one more leading digit of every block's joint index, their tables
+    are scored together, and one search covers every (dataset, config)
+    table. Each result equals that of its dataset and config learned alone,
+    bit for bit. A run holds one dataset, or as many as keep their tables
+    within _BATCH_BYTES, and n times the sum of their sizes within
+    _BLOCK_CELLS, a dataset's size being its rows or the cells of its
+    largest block tensor, whichever is more; a dataset whose tables alone
+    exceed that is learned in runs of configs, as learn_criteria learns
+    large tables.
+
+    datasets may be any iterable. It is consumed one run at a time, so a
+    generator holds one run's datasets, and the next one drawn, at most. A
+    dataset whose arities differ from the first's is a DataError, raised
+    before its run is learned, as is an empty iterable. Otherwise the error
+    raised is the one learning each dataset alone, in order, raises first:
+    the first failing dataset's, and of its configs the first failing
+    one's. Every result's elapsed is the call's wall time less the time
+    spent drawing datasets.
+    """
+    start = time.perf_counter()
+    cfgs, max_parents = _checked(cfgs, max_parents)
+    drawing = 0.0
+    networks = []
+    run, load, arities = [], 0, None
+    source = iter(datasets)
+    while True:
+        drawn = time.perf_counter()
+        data = next(source, None)
+        drawing += time.perf_counter() - drawn
+        if data is not None:
+            if not isinstance(data, Dataset):
+                raise DataError(f"a dataset must be a Dataset, got {data!r}")
+            if arities is None:
+                arities, n = data.arities, data.n_vars
+                # the tables that fit _BATCH_BYTES, or one
+                tables = max(1, _BATCH_BYTES // (8 * n << (n - 1)))
+                # the cells of one dataset's largest block tensor
+                tensor = max(size for _, _, size, *_ in _learn_shape(
+                    arities, max_parents)[2])
+            elif data.arities != arities:
+                raise DataError(f"datasets of one batch must share their "
+                                f"arities: {data.arities} differs from "
+                                f"{arities}")
+        if run and (data is None or (len(run) + 1) * len(cfgs) > tables
+                    or load + n * max(data.n_rows, tensor) > _BLOCK_CELLS):
+            networks += _learn_run(run, cfgs, max_parents, tables)
+            run, load = [], 0
+        if data is None:
+            break
+        run.append(data)
+        # its rows, and the sums' gathers, up to n per tensor cell
+        load += n * max(data.n_rows, tensor)
+    if not networks:
+        raise DataError("no datasets to learn")
+    elapsed = time.perf_counter() - start - drawing
+    return tuple(tuple(LearnResult(*network, elapsed) for network in learned)
+                 for learned in networks)
+
+
+def _learn_run(run, cfgs, max_parents, tables):
+    """Per dataset of a run, per config, (network, total, per-variable
+    scores), the configs scored in runs of at most `tables` tables."""
+    n = run[0].n_vars
+    networks = [[None] * len(cfgs) for _ in run]
+    step = max(1, tables // len(run))
+    for first in range(0, len(cfgs), step):
+        stack = _score_tables(run, cfgs[first:first + step], max_parents)
+        stack = stack.reshape(-1, *stack.shape[2:])
+        # table t is config first + t // len(run) on dataset t % len(run)
+        for t, picks in enumerate(_search(stack)):
+            i, d = divmod(t, len(run))
+            parents = [()] * n
+            per = [0.0] * n
+            for s, mask, score in picks:
+                parents[s] = mask_to_parents(mask)
+                per[s] = score
+            networks[d][first + i] = (DagStructure(n, tuple(parents),
+                                                   run[d].names),
+                                      float(sum(per)), tuple(per))
+        del stack
+    return networks
+
+
 def learn_criteria(data: Dataset, cfgs,
                    max_parents: int | None = None) -> tuple[LearnResult, ...]:
-    """A provably optimal network per config, in order, via the subset DP.
+    """A provably optimal network per config, in order, via the subset DP:
+    the one-dataset case of learn_datasets.
 
     The data is counted once for all configs, and configs whose cell terms
     agree (bic, fnml and qnml) share their sums; the search runs on all
@@ -789,24 +929,7 @@ def learn_criteria(data: Dataset, cfgs,
     memory grows with the number of configs only while the tables are
     small. Of several failing configs, the first one's DataError is raised.
     """
-    start = time.perf_counter()
-    cfgs, max_parents = _checked(cfgs, max_parents)
-    n = data.n_vars
-    step = max(1, _BATCH_BYTES // (8 * n << (n - 1)))
-    networks = []
-    for run in range(0, len(cfgs), step):
-        tables = _score_tables(data, cfgs[run:run + step], max_parents)
-        for picks in _search(tables):
-            parents = [()] * n
-            per = [0.0] * n
-            for s, mask, score in picks:
-                parents[s] = mask_to_parents(mask)
-                per[s] = score
-            networks.append((DagStructure(n, tuple(parents), data.names),
-                             float(sum(per)), tuple(per)))
-        del tables
-    elapsed = time.perf_counter() - start
-    return tuple(LearnResult(*network, elapsed) for network in networks)
+    return learn_datasets((data,), cfgs, max_parents)[0]
 
 
 def learn_exact(data: Dataset, cfg: ScoreConfig,

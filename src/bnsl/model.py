@@ -171,8 +171,12 @@ def sample(net: BayesianNetwork, n_rows: int, seed: int) -> Dataset:
         u = rng.random(n_rows)
         j = config_indices(rows, g.parents[i], net.arities)
         cdf = np.cumsum(net.cpts[i], axis=1)
-        values = (u[:, None] >= cdf[j]).sum(axis=1)
-        rows[:, i] = np.minimum(values, net.arities[i] - 1)
+        # the cdf never decreases, so counting the first r - 1 columns that
+        # u reaches is the inverse-CDF value, capped at r - 1
+        values = np.zeros(n_rows, dtype=np.int64)
+        for k in range(net.arities[i] - 1):
+            values += u >= cdf[:, k].take(j)
+        rows[:, i] = values
     names = g.names if g.names is not None else tuple(
         f"X{k + 1}" for k in range(g.n))
     return Dataset(names, net.arities, rows)

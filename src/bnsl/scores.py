@@ -55,22 +55,27 @@ class ScoreConfig:
 @dataclass(frozen=True)
 class Criterion:
     """One local score as a cell term, a penalty and one join, shared by
-    local_score and the subset-keyed tables (learner.learn_criteria).
+    local_score and the subset-keyed tables (learner.learn_datasets).
 
     cell(counts, cells, n_rows, cfg) is an elementwise term of a family's
     count array over `cells` cells (a number, or a pair (sizes, index): the
     distinct cell counts, and per count an index into them that broadcasts
     against counts); the family sums it in its own order, child axis last.
+    Its n_rows is a number of rows no count exceeds.
     penalty(totals, r, n_rows, cfg, cache) is a term of the parent set's
-    cell totals and the child arity r; it takes a batch of parent sets of
-    one cell count, one row of totals each, and returns one value per row.
+    cell totals and the child arity r; totals holds parent sets of one cell
+    count q, the last axis holding one parent set's totals, and the result
+    broadcasts to totals.shape[:-1].
     join(cell_sum, term_sum, q, penalty, n_rows, cfg) gives the score from
     the family's cell sum, the parent set's q (its cell count), term_sum
     (the sum of the parent set's own cell terms in natural order: a parent
     set is itself a variable subset) and the penalty; it works elementwise
-    on arrays of families. cell_reads names the ScoreConfig field that cell
-    reads, None if it reads none: two configs whose cell and that field
-    agree have the same cell terms.
+    on arrays of families. In penalty and join, n_rows is the number of data
+    rows: a number, or an array of one per dataset that broadcasts against
+    the other arguments, so a stack of datasets is scored in one call.
+    cell_reads names the ScoreConfig field that cell reads, None if it
+    reads none: two configs whose cell and that field agree have the same
+    cell terms.
     """
 
     cell: Callable
@@ -90,19 +95,24 @@ def _loglik_join(cell_sum, term_sum, q, penalty, n_rows, cfg):
     return np.minimum(cell_sum - term_sum, 0.0) - penalty
 
 
+def _per_dataset(f, n_rows):
+    """f of each dataset's row count, in the shape of n_rows."""
+    return np.array([f(n) for n in np.ravel(n_rows).tolist()]).reshape(
+        np.shape(n_rows))
+
+
 def _bic_penalty(totals, r, n_rows, cfg, cache):
-    """BIC: (q (r-1) / 2) ln N."""
-    if n_rows < 1:
+    """BIC: (q (r-1) / 2) ln N, with math.log: np.log rounds differently."""
+    if np.min(n_rows) < 1:
         raise DataError("BIC needs at least one data row")
-    return np.full(len(totals),
-                   0.5 * totals.shape[1] * (r - 1) * math.log(n_rows))
+    return 0.5 * totals.shape[-1] * (r - 1) * _per_dataset(math.log, n_rows)
 
 
 def _fnml_penalty(totals, r, n_rows, cfg, cache):
     """Factorized NML: reg(N_j, r) of every parent configuration j, added
     one at a time in j order. reg(0, r) is 0.0, so an unobserved
     configuration adds nothing and leaves the running sum's bits alone."""
-    return np.cumsum(cache.get_many(totals, r), axis=1)[:, -1]
+    return np.cumsum(cache.get_many(totals, r), axis=-1)[..., -1]
 
 
 def _qnml_penalty(totals, r, n_rows, cfg, cache):
@@ -113,9 +123,9 @@ def _qnml_penalty(totals, r, n_rows, cfg, cache):
     taken from the full arity product, which is what makes the score exactly
     invariant under covered-arc reversal.
     """
-    q = totals.shape[1]
-    return np.full(len(totals),
-                   cache.get(n_rows, q * r) - cache.get(n_rows, q))
+    q = totals.shape[-1]
+    return _per_dataset(lambda n: cache.get(n, q * r) - cache.get(n, q),
+                        n_rows)
 
 
 def _bdeu_cells(counts, cells, n_rows, cfg):
@@ -131,7 +141,7 @@ def _bdeu_cells(counts, cells, n_rows, cfg):
 
 
 def _no_penalty(totals, r, n_rows, cfg, cache):
-    return np.zeros(len(totals))
+    return 0.0
 
 
 def _bdeu_join(cell_sum, term_sum, q, penalty, n_rows, cfg):
@@ -147,16 +157,16 @@ def _bdq_cells(counts, cells, n_rows, cfg):
     return gammaln(cfg.bdq_alpha + counts) - gammaln(cfg.bdq_alpha)
 
 
-def _bdq_norm(m: int, n_rows: int, alpha: float):
-    """The normalizing term of a collapsed marginal over m cells."""
+def _bdq_norm(m, n_rows, alpha: float):
+    """The normalizing term of a collapsed marginal over m cells of n_rows
+    rows, elementwise over arrays of either."""
     from scipy.special import gammaln
     return gammaln(m * alpha) - gammaln(m * alpha + n_rows)
 
 
 def _bdq_penalty(totals, r, n_rows, cfg, cache):
     """The normalizing term of the collapsed family over q r cells."""
-    return np.full(len(totals),
-                   _bdq_norm(totals.shape[1] * r, n_rows, cfg.bdq_alpha))
+    return _bdq_norm(totals.shape[-1] * r, n_rows, cfg.bdq_alpha)
 
 
 def _bdq_join(cell_sum, term_sum, q, penalty, n_rows, cfg):
@@ -196,14 +206,13 @@ def local_score(data: Dataset, child: int, parents, cfg: ScoreConfig,
         cache = shared_cache(cfg.regret_method)
     crit = _CRITERIA[cfg.criterion]
     counts = contingency(data, child, parents)
-    # the parent set's totals as a batch of one row
-    totals = counts.sum(axis=1)[None]
+    totals = counts.sum(axis=1)
     n_rows = data.n_rows
-    q = totals.shape[1]
+    q = len(totals)
     score = float(crit.join(
         crit.cell(counts, counts.size, n_rows, cfg).sum(),
-        crit.cell(totals, q, n_rows, cfg).sum(axis=1)[0], q,
-        crit.penalty(totals, counts.shape[1], n_rows, cfg, cache)[0],
+        crit.cell(totals, q, n_rows, cfg).sum(), q,
+        crit.penalty(totals, counts.shape[1], n_rows, cfg, cache),
         n_rows, cfg))
     if not math.isfinite(score):
         raise not_finite(cfg, data.names[child], score)

@@ -10,6 +10,7 @@ as a test oracle.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 from dataclasses import dataclass
@@ -68,19 +69,27 @@ class DagStructure:
 
 
 def topological_order(g: DagStructure) -> tuple[int, ...]:
-    """Topological order of g; ties are broken by smallest node index."""
-    placed: set[int] = set()
-    remaining = set(range(g.n))
+    """Topological order of g; ties are broken by smallest node index.
+
+    Kahn's algorithm with a min-heap of the nodes whose parents are all
+    placed, so each step places the smallest of them.
+    """
+    children = [[] for _ in range(g.n)]
+    waiting = [len(ps) for ps in g.parents]
+    for v, ps in enumerate(g.parents):
+        for p in ps:
+            children[p].append(v)
+    ready = [v for v in range(g.n) if not waiting[v]]
     order = []
-    while remaining:
-        ready = [v for v in sorted(remaining)
-                 if all(p in placed for p in g.parents[v])]
-        if not ready:
-            raise DataError("graph contains a directed cycle")
-        v = ready[0]
+    while ready:
+        v = heapq.heappop(ready)
         order.append(v)
-        placed.add(v)
-        remaining.remove(v)
+        for c in children[v]:
+            waiting[c] -= 1
+            if not waiting[c]:
+                heapq.heappush(ready, c)
+    if len(order) < g.n:
+        raise DataError("graph contains a directed cycle")
     return tuple(order)
 
 

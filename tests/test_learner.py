@@ -12,7 +12,8 @@ from bnsl.dataset import MAX_TABLE_CELLS, Dataset
 from bnsl.errors import DataError, ResourceLimitError
 from bnsl.learner import (_best_parents, _best_sinks, _compress_mask,
                           _expand_mask, _search, compute_local_scores,
-                          learn_bruteforce, learn_criteria, learn_exact)
+                          learn_bruteforce, learn_criteria, learn_datasets,
+                          learn_exact)
 from bnsl.regret import METHODS
 from bnsl.scores import CRITERIA, ScoreConfig, local_score, total_score
 
@@ -302,9 +303,10 @@ def test_table_errors_match_per_family_errors():
 
 @st.composite
 def batch_cases(draw):
-    """A dataset, a cap and a batch of configs: every criterion once, in
-    shuffled order, with drawn hyperparameters and regret methods, plus
-    duplicates of some of them and a few more drawn configs."""
+    """Datasets of one shape, a cap and a batch of configs: every criterion
+    once, in shuffled order, with drawn hyperparameters and regret methods,
+    plus duplicates of some of them and a few more drawn configs. The
+    datasets' row counts differ, and now and then one of them has none."""
     def config(crit):
         return ScoreConfig(criterion=crit,
                            regret_method=draw(st.sampled_from(METHODS)),
@@ -313,17 +315,23 @@ def batch_cases(draw):
 
     n = draw(st.integers(1, 7))
     arities = draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
-    n_rows = draw(st.sampled_from([1, 2, 12, 80, 500]))
-    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    rows = np.stack([rng.integers(0, a, n_rows) for a in arities], axis=1)
     declared = [a + draw(st.integers(0, 1)) for a in arities]
-    data = Dataset(tuple(f"X{i}" for i in range(n)), declared, rows)
+    sizes = draw(st.lists(st.sampled_from([1, 2, 12, 80, 500]), min_size=1,
+                          max_size=6))
+    if draw(st.integers(0, 3)) == 0:
+        sizes[draw(st.integers(0, len(sizes) - 1))] = 0
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    datasets = tuple(
+        Dataset(tuple(f"X{i}" for i in range(n)), declared,
+                np.stack([rng.integers(0, a, n_rows) for a in arities],
+                         axis=1).reshape(n_rows, n))
+        for n_rows in sizes)
     cfgs = [config(crit) for crit in draw(st.permutations(CRITERIA))]
     cfgs += draw(st.lists(st.sampled_from(cfgs), max_size=3))
     cfgs += [config(crit) for crit in draw(
         st.lists(st.sampled_from(CRITERIA), max_size=3))]
     cfgs = draw(st.permutations(cfgs))
-    return data, tuple(cfgs), draw(st.sampled_from([None, 0, 1, 2, 3]))
+    return datasets, tuple(cfgs), draw(st.sampled_from([None, 0, 1, 2, 3]))
 
 
 def _bits(values):
@@ -332,7 +340,8 @@ def _bits(values):
 
 def _mixed_hyperparameters_case():
     """Configs of one criterion that differ only in the hyperparameter of
-    their cell terms, next to configs whose cell terms agree."""
+    their cell terms, next to configs whose cell terms agree, on two
+    datasets of different row counts."""
     rows = np.random.default_rng(1).integers(0, 3, (60, 4))
     cfgs = (ScoreConfig(criterion="bdeu"),
             ScoreConfig(criterion="bdeu", bdeu_alpha=9.5),
@@ -341,49 +350,93 @@ def _mixed_hyperparameters_case():
             ScoreConfig(criterion="fnml", regret_method="exact"),
             ScoreConfig(criterion="bic", bdeu_alpha=0.3),
             ScoreConfig(criterion="qnml"))
-    return Dataset(tuple("ABCD"), (3,) * 4, rows), cfgs, None
+    return ((Dataset(tuple("ABCD"), (3,) * 4, rows),
+             Dataset(tuple("ABCD"), (3,) * 4, rows[:17])), cfgs, None)
 
 
-@given(batch_cases(), st.sampled_from([learner._BATCH_BYTES, 512, 0]))
-@example(_mixed_hyperparameters_case(), learner._BATCH_BYTES)
-@settings(max_examples=60, deadline=None)
-def test_batched_learn_equals_each_config_alone(case, batch_bytes):
-    data, cfgs, max_parents = case
+@given(batch_cases(), st.sampled_from([learner._BATCH_BYTES, 512, 0]),
+       st.sampled_from([learner._BLOCK_CELLS, 64, 12]))
+@example(_mixed_hyperparameters_case(), learner._BATCH_BYTES,
+         learner._BLOCK_CELLS)
+@settings(max_examples=100, deadline=None)
+def test_batched_learn_equals_each_config_alone(case, batch_bytes,
+                                                block_cells):
+    datasets, cfgs, max_parents = case
     # a budget of 512 bytes holds five tables of n = 3, two of n = 4 and
-    # one from n = 5 up; 0 learns each config in a run of its own
+    # one from n = 5 up; 0 learns each config in a run of its own. 64 and
+    # 12 cells split the blocks, and the datasets into runs of a few rows
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(learner, "_BATCH_BYTES", batch_bytes)
-        batch = learn_criteria(data, cfgs, max_parents)
-    assert len(batch) == len(cfgs)
-    for cfg, res in zip(cfgs, batch):
-        alone = learn_criteria(data, (cfg,), max_parents)[0]
-        assert res.network == alone.network
-        assert _bits(res.per_variable) == _bits(alone.per_variable)
-        assert _bits(res.total_score) == _bits(alone.total_score)
-    # every stacked table is the per-family table, bit for bit
-    tables = learner._score_tables(data, cfgs, max_parents)
-    assert tables.shape == (len(cfgs), data.n_vars, 1 << (data.n_vars - 1))
-    for cfg, table in zip(cfgs, tables):
-        assert _same_bits(table, _family_table(data, cfg, max_parents))
+        mp.setattr(learner, "_BLOCK_CELLS", block_cells)
+        try:
+            batch = learn_datasets(iter(datasets), cfgs, max_parents)
+        except DataError as exc:
+            batch = exc
+    if isinstance(batch, DataError):
+        # the error of the first dataset that fails alone
+        for data in datasets:
+            try:
+                learn_criteria(data, cfgs, max_parents)
+            except DataError as exc:
+                assert str(batch) == str(exc)
+                return
+        raise batch
+    assert len(batch) == len(datasets)
+    for data, results in zip(datasets, batch):
+        assert len(results) == len(cfgs)
+        for cfg, res in zip(cfgs, results):
+            alone = learn_criteria(data, (cfg,), max_parents)[0]
+            assert res.network == alone.network
+            assert _bits(res.per_variable) == _bits(alone.per_variable)
+            assert _bits(res.total_score) == _bits(alone.total_score)
+    # every stacked table is its dataset's table alone and the per-family
+    # table, bit for bit
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(learner, "_BLOCK_CELLS", block_cells)
+        tables = learner._score_tables(datasets, cfgs, max_parents)
+    n = datasets[0].n_vars
+    assert tables.shape == (len(cfgs), len(datasets), n, 1 << (n - 1))
+    for d, data in enumerate(datasets):
+        alone = learner._score_tables((data,), cfgs, max_parents)
+        for i, cfg in enumerate(cfgs):
+            assert _same_bits(tables[i, d], alone[i, 0])
+            assert _same_bits(tables[i, d],
+                              _family_table(data, cfg, max_parents))
+
+
+def _marginal_calls(mp):
+    """Patch learner._marginals to count its calls into the returned list."""
+    marginals = learner._marginals
+    calls = []
+    mp.setattr(learner, "_marginals",
+               lambda *args: calls.append(1) or marginals(*args))
+    return calls
 
 
 def test_batch_counts_the_data_once():
-    # a batch of every criterion counts each block as often as one learn
+    # a batch of every criterion counts each block as often as one learn,
+    # and so does a batch of ten datasets of one shape
     rng = np.random.default_rng(3)
     arities = (2, 3, 2, 4, 2, 3)
-    rows = np.stack([rng.integers(0, a, 200) for a in arities], axis=1)
-    data = Dataset(tuple(f"V{i}" for i in range(6)), arities, rows)
-    marginals = learner._marginals
+    datasets = [Dataset(tuple(f"V{i}" for i in range(6)), arities,
+                        np.stack([rng.integers(0, a, n_rows)
+                                  for a in arities], axis=1))
+                for n_rows in (200, 10, 350, 1, 200, 60, 0, 90, 200, 31)]
+    cfgs = [ScoreConfig(criterion=c) for c in CRITERIA if c != "bic"]
     for cap in (None, 2):
-        counts = []
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(learner, "_marginals",
-                       lambda *args: counts.append(1) or marginals(*args))
-            learn_exact(data, ScoreConfig(), cap)
+            counts = _marginal_calls(mp)
+            learn_exact(datasets[0], ScoreConfig(), cap)
             alone = len(counts)
-            learn_criteria(data, [ScoreConfig(criterion=c)
-                                  for c in CRITERIA], cap)
-        assert len(counts) == 2 * alone
+            learn_criteria(datasets[0], [ScoreConfig(criterion=c)
+                                         for c in CRITERIA], cap)
+            assert len(counts) == 2 * alone
+            batch = learn_datasets(datasets, cfgs, cap)
+            assert len(counts) == 3 * alone
+        for data, results in zip(datasets, batch):
+            assert results == tuple(dataclasses.replace(
+                res, elapsed=results[0].elapsed)
+                for res in learn_criteria(data, cfgs, cap))
 
 
 def test_configs_share_cell_terms_unless_a_field_they_read_differs():
@@ -506,6 +559,130 @@ def test_batch_raises_the_first_failing_configs_error():
     res = learn_criteria(data, [qnml, bic, qnml, qnml])
     assert len(res) == 4 and res[0] == res[2] == res[3] != res[1]
     assert res[0].network == learn_exact(data, qnml).network
+
+
+def test_dataset_batch_raises_the_first_failing_datasets_error():
+    # two datasets of arities 2, 3, 3 under other names, so each error
+    # names its dataset; the tiny alpha fails on both, bic on the empty one
+    rng = np.random.default_rng(0)
+    rows = np.stack([rng.integers(0, a, 40) for a in (2, 3, 3)], axis=1)
+    abc = Dataset(("A", "B", "C"), (2, 3, 3), rows)
+    pqr = Dataset(("P", "Q", "R"), (2, 3, 3), rows[::-1])
+    short = Dataset(("A", "B", "C"), (2, 3, 3), rows[:5])
+    empty = Dataset(("E", "F", "G"), (2, 3, 3), rows[:0])
+    tiny = ScoreConfig(criterion="bdeu", bdeu_alpha=1e-310)
+    bic = ScoreConfig(criterion="bic")
+    qnml = ScoreConfig(criterion="qnml")
+    batches = [(abc, pqr), (pqr, abc), (empty, abc), (abc, empty),
+               (short, empty, pqr)]
+    for cfgs in ((tiny, bic), (bic, tiny), (qnml, tiny), (qnml, bic)):
+        for datasets in batches:
+            want = None
+            for data in datasets:
+                try:
+                    learn_criteria(data, cfgs, max_parents=1)
+                except DataError as exc:
+                    want = str(exc)
+                    break
+            for mode in ("batch", "runs", "by child"):
+                with pytest.MonkeyPatch.context() as mp:
+                    if mode == "runs":
+                        # one dataset a run
+                        mp.setattr(learner, "_BLOCK_CELLS", 1)
+                    if mode == "by child":
+                        mp.setattr(learner, "_PLANS", learner._PlanCache())
+                        mp.setattr(learner, "_PLAN_BYTES", 0)
+                        mp.setattr(learner, "_GATHER_ENTRIES", 0)
+                    if want is None:
+                        learn_datasets(datasets, cfgs, max_parents=1)
+                        continue
+                    with pytest.raises(DataError) as exc:
+                        learn_datasets(datasets, cfgs, max_parents=1)
+                    assert str(exc.value) == want, (cfgs, datasets, mode)
+    # each network carries its own dataset's names
+    learned = learn_datasets((abc, pqr), (qnml,))
+    assert [r[0].network.names for r in learned] == [abc.names, pqr.names]
+
+
+def test_dataset_batch_arguments_are_checked_before_their_run():
+    rows = np.random.default_rng(1).integers(0, 2, (30, 3))
+    data = Dataset(tuple("ABC"), (2, 2, 2), rows)
+    wider = Dataset(tuple("ABC"), (2, 3, 2), rows)
+    cfgs = (ScoreConfig(),)
+    calls = []
+    score_tables = learner._score_tables
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(learner, "_score_tables",
+                   lambda *args: calls.append(1) or score_tables(*args))
+        with pytest.raises(DataError, match="share their arities"):
+            learn_datasets([data, data, wider], cfgs)
+        with pytest.raises(DataError, match="no datasets"):
+            learn_datasets([], cfgs)
+        with pytest.raises(DataError, match="no datasets"):
+            learn_datasets(iter(()), cfgs)
+        with pytest.raises(DataError, match="must be a Dataset"):
+            learn_datasets([data, rows], cfgs)
+        # the configs are checked before any dataset is drawn
+        with pytest.raises(DataError, match="no score configs"):
+            learn_datasets(iter([wider, data]), ())
+        assert calls == []
+        # in runs of one dataset, the first run is learned when the second
+        # is drawn, and the mismatch is raised before the second run
+        mp.setattr(learner, "_BLOCK_CELLS", 1)
+        with pytest.raises(DataError, match="share their arities"):
+            learn_datasets([data, data, wider], cfgs)
+        assert calls == [1]
+
+
+def test_dataset_batch_draws_one_run_at_a_time():
+    # runs of two datasets, 3 x 40 x 2 rows within 2^8 cells: each run is
+    # learned when the dataset after it is drawn, and no drawing time is
+    # part of elapsed
+    rng = np.random.default_rng(2)
+    drawn = []
+
+    def datasets():
+        for k in range(5):
+            time.sleep(0.05)
+            drawn.append(k)
+            yield Dataset(tuple("ABC"), (2, 2, 2),
+                          rng.integers(0, 2, (40, 3)))
+
+    seen = []
+    score_tables = learner._score_tables
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(learner, "_BLOCK_CELLS", 1 << 8)
+        mp.setattr(learner, "_score_tables", lambda run, *args: seen.append(
+            (len(run), len(drawn))) or score_tables(run, *args))
+        learned = learn_datasets(datasets(), [ScoreConfig()])
+    assert seen == [(2, 3), (2, 5), (1, 5)]
+    assert len(learned) == 5
+    assert learned[0][0].elapsed < 0.05 * 5
+
+
+def test_dataset_runs_stay_within_the_cell_budget():
+    # n times a dataset's rows, or its largest block tensor, counts against
+    # _BLOCK_CELLS: five 5-variable datasets of 10 000 rows fill a run, and
+    # a 12-variable binary dataset (a tensor of 3^11 cells) fills one alone
+    rng = np.random.default_rng(8)
+    runs = []
+    score_tables = learner._score_tables
+    cfgs = [ScoreConfig(criterion="qnml")]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(learner, "_score_tables", lambda run, *args: runs.append(
+            len(run)) or score_tables(run, *args))
+        for n, n_rows, count, want in ((5, 10_000, 12, [5, 5, 2]),
+                                       (5, 10, 12, [12]),
+                                       (12, 50, 3, [1, 1, 1])):
+            runs.clear()
+            datasets = [Dataset(tuple(f"V{i}" for i in range(n)), (2,) * n,
+                                rng.integers(0, 2, (n_rows, n)))
+                        for _ in range(count)]
+            learned = learn_datasets(datasets, cfgs)
+            assert runs == want
+            for data, results in zip(datasets[:2], learned):
+                assert results[0].network == learn_exact(data,
+                                                         cfgs[0]).network
 
 
 def test_fourteen_variable_learn_time_and_table_memory():

@@ -1,7 +1,9 @@
 """Tests for CPT fitting, sampling, prediction and network file I/O."""
 
+import importlib.util
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -237,6 +239,22 @@ def test_sample_names_default_when_structure_is_anonymous():
     net = BayesianNetwork(dag(2, (0, 1)), (2, 2),
                           ([[0.5, 0.5]], [[0.9, 0.1], [0.2, 0.8]]))
     assert sample(net, 1, seed=0).names == ("X1", "X2")
+
+
+def test_bundled_datasets_regenerate_byte_identical(tmp_path):
+    # the bundled CSVs are samples of networks of mixed arities at fixed
+    # seeds, so this pins sample's output row for row
+    root = Path(__file__).resolve().parent.parent
+    spec = importlib.util.spec_from_file_location(
+        "make_bundled_data", root / "scripts" / "make_bundled_data.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    script.main([str(tmp_path)])
+    names = ("synth4_n400.csv", "mixed6_n500.csv", "web8_n500.csv")
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(names)
+    for name in names:
+        assert ((tmp_path / name).read_bytes()
+                == (root / "src" / "bnsl" / "data" / name).read_bytes()), name
 
 
 # ------------------------------------------------------------------- I/O

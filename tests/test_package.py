@@ -53,9 +53,13 @@ seen = {"import bnsl": [0, "scipy" in sys.modules]}
 from bnsl.bench import bundled_path
 from bnsl.cli import main
 csv, net = bundled_path("web8_n500.csv"), bundled_path("web8.json")
-bnsl.learn_criteria(bnsl.load_dataset(csv), [
-    bnsl.ScoreConfig(criterion=c) for c in ("bic", "fnml", "qnml")])
+loglik = [bnsl.ScoreConfig(criterion=c) for c in ("bic", "fnml", "qnml")]
+bnsl.learn_criteria(bnsl.load_dataset(csv), loglik)
 seen["learn_criteria bic fnml qnml"] = [0, "scipy" in sys.modules]
+data = bnsl.load_dataset(csv)
+bnsl.learn_datasets((bnsl.Dataset(data.names, data.arities, data.rows[:k])
+                     for k in (50, 1, 500)), loglik)
+seen["learn_datasets bic fnml qnml"] = [0, "scipy" in sys.modules]
 learn = ["learn", "--data", csv, "--criterion"]
 runs = {"learn bic": learn + ["bic"], "learn fnml": learn + ["fnml"],
         "learn qnml": learn + ["qnml"],
@@ -75,7 +79,8 @@ print(json.dumps(seen))
 def test_default_learn_path_does_not_load_scipy():
     # scipy.special is most of the import time of a one-shot `bnsl learn`;
     # only bdeu, bdq, exact regret and the brute-force oracles need it, so
-    # neither a learn nor a batch of the N ln N criteria loads it
+    # neither a learn nor a batch of the N ln N criteria, on one dataset or
+    # several, loads it
     proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE],
                           capture_output=True, text=True, check=True)
     seen = json.loads(proc.stdout.splitlines()[-1])

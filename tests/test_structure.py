@@ -43,6 +43,47 @@ def test_topological_order_prefers_small_indices():
     assert topological_order(dag(3)) == (0, 1, 2)
 
 
+def _quadratic_order(n, parents):
+    """The reference rule: place the smallest node whose parents are all
+    placed, scanning every remaining node each time; None on a cycle."""
+    placed, order = set(), []
+    remaining = set(range(n))
+    while remaining:
+        ready = [v for v in sorted(remaining)
+                 if all(p in placed for p in parents[v])]
+        if not ready:
+            return None
+        order.append(ready[0])
+        placed.add(ready[0])
+        remaining.remove(ready[0])
+    return tuple(order)
+
+
+def test_topological_order_matches_the_quadratic_rule(rng):
+    # DagStructure refuses a cycle through topological_order itself, so
+    # cyclic graphs are given as bare (n, parents) records
+    class Graph:
+        def __init__(self, n, parents):
+            self.n, self.parents = n, parents
+
+    for _ in range(300):
+        n = int(rng.integers(1, 10))
+        g = random_dag(rng, n, arc_prob=float(rng.random()))
+        assert topological_order(g) == _quadratic_order(n, g.parents)
+        # arcs added at random, which close a cycle or leave a DAG
+        parents = [set(ps) for ps in g.parents]
+        for _ in range(int(rng.integers(1, 4))):
+            u, v = (int(x) for x in rng.integers(0, n, 2))
+            parents[v].add(u)
+        parents = tuple(tuple(sorted(ps)) for ps in parents)
+        want = _quadratic_order(n, parents)
+        if want is None:
+            with pytest.raises(DataError, match="directed cycle"):
+                topological_order(Graph(n, parents))
+        else:
+            assert topological_order(Graph(n, parents)) == want
+
+
 def test_covered_arc_detection():
     # 0 -> 1 with common parent 2 of both: covered
     g = dag(3, (2, 0), (2, 1), (0, 1))

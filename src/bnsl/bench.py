@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import numbers
 import os
 import platform
@@ -20,11 +21,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .dataset import Dataset, load_dataset
+from .dataset import Dataset, config_indices, load_dataset
 from .errors import DataError, integer
 from .learner import learn_datasets
-from .model import (fit_bpp, fit_ml, fit_snml, load_network,
-                    mean_test_loglik, sample)
+from .model import fit_bpp, fit_ml, fit_snml, load_network, rule_cpts, sample
 from .regret import regret_exact, regret_szp_all_range, regret_szp_small_r
 from .scores import CRITERIA, ScoreConfig
 from .structure import cpdag_shd, parameter_count, to_cpdag
@@ -184,6 +184,7 @@ def run_shd_curve(spec: ExperimentSpec) -> list[list[str]]:
     a sample size are learned under all criteria in one learn_datasets
     batch, drawn as it consumes them, so the columns are paired comparisons
     on identical data, and datasets of one shape are counted together.
+    Each distinct DAG learned for a network is converted and compared once.
     """
     if not spec.networks:
         raise DataError("shd-curve needs at least one network file")
@@ -192,13 +193,17 @@ def run_shd_curve(spec: ExperimentSpec) -> list[list[str]]:
     for net_path in spec.networks:
         net = load_network(net_path)
         truth = to_cpdag(net.structure)
+        shds = {}  # SHD of each distinct learned DAG, keyed on its parents
         for n in spec.sample_sizes:
             per_rep = np.empty((spec.repetitions, len(spec.criteria)))
             datasets = (sample(net, n, seed=spec.seed + rep)
                         for rep in range(spec.repetitions))
             for rep, results in enumerate(learn_datasets(datasets, cfgs)):
                 for j, res in enumerate(results):
-                    per_rep[rep, j] = cpdag_shd(to_cpdag(res.network), truth)
+                    g = res.network
+                    if g.parents not in shds:
+                        shds[g.parents] = cpdag_shd(to_cpdag(g), truth)
+                    per_rep[rep, j] = shds[g.parents]
             for j, crit in enumerate(spec.criteria):
                 col = per_rep[:, j]
                 err = (col.std(ddof=1) / np.sqrt(len(col))
@@ -208,12 +213,16 @@ def run_shd_curve(spec: ExperimentSpec) -> list[list[str]]:
     return rows
 
 
+def _rule(criterion: str, params: str | None = None) -> str:
+    return params or ("bpp" if criterion == "bdeu" else "snml")
+
+
 def fit_for(criterion: str, params: str | None = None):
     """Parameter rule named by ``params``, or by default the one paired
     with the criterion: Bayesian posterior-predictive parameters for BDeu,
     sequential NML parameters for everything else."""
-    rule = params or ("bpp" if criterion == "bdeu" else "snml")
-    return {"ml": fit_ml, "snml": fit_snml, "bpp": fit_bpp}[rule]
+    return {"ml": fit_ml, "snml": fit_snml, "bpp": fit_bpp}[
+        _rule(criterion, params)]
 
 
 def _min_ranks(values) -> list[int]:
@@ -229,48 +238,78 @@ def _min_ranks(values) -> list[int]:
     return ranks
 
 
+def _mean_test_logliks(rows, arities, n_trains, graphs, rules) -> list:
+    """Mean log-likelihood of rows[n:] under each network graphs[f][c]
+    fitted by the rule rules[c] on rows[:n], n = n_trains[f]: bit for bit
+    mean_test_loglik of that rule's fit_*, but each distinct family is
+    counted once for every train prefix."""
+    ends = np.unique(n_trains)
+    # row t is in every prefix from the first one that ends after t
+    first = np.searchsorted(ends, np.arange(ends[-1]), side="right")
+    sums = [[np.zeros(len(rows) - n) for _ in rules] for n in n_trains]
+    for child in range(len(arities)):  # children added in order
+        fits, logps = {}, {}
+        for f, (n, nets) in enumerate(zip(n_trains, graphs)):
+            for c, g in enumerate(nets):
+                family, rule = (*g.parents[child], child), rules[c]
+                if (family, rule) not in fits:
+                    cells = config_indices(rows, family, arities)
+                    size = math.prod(arities[v] for v in family)
+                    counts = np.bincount(first * size + cells[:ends[-1]],
+                                         minlength=len(ends) * size)
+                    counts = counts.reshape(len(ends), -1, arities[child])
+                    cpts = rule_cpts(counts.cumsum(axis=0), rule)
+                    fits[family, rule] = cells, cpts.reshape(len(ends), -1)
+                cells, cpts = fits[family, rule]
+                if (family, rule, n) not in logps:
+                    with np.errstate(divide="ignore"):
+                        logps[family, rule, n] = np.log(
+                            cpts[np.searchsorted(ends, n)].take(cells[n:]))
+                sums[f][c] += logps[family, rule, n]
+    return [[np.mean(s) for s in row] for row in sums]
+
+
 def _predict_tables(spec: ExperimentSpec) -> list[list[str]]:
     """Shared driver for the prediction-rank and model-size experiments.
 
     Per repetition the rows are permuted once; each train fraction takes
     the leading slice of that permutation, so larger fractions extend the
-    smaller ones instead of resampling. The splits of a repetition are
-    learned under all criteria in one learn_datasets batch. Each (dataset,
-    criterion, fraction) row holds the mean held-out log-likelihood, rank
-    and parameter count.
+    smaller ones instead of resampling, and the rest is its test split.
+    The train splits of a repetition are learned under all criteria in one
+    learn_datasets batch, and each distinct learned family is fitted and
+    scored once for all of them. Each (dataset, criterion, fraction) row
+    holds the mean held-out log-likelihood, rank and parameter count.
     """
     if not spec.datasets:
         raise DataError(f"{spec.kind} needs at least one dataset file")
     rows = []
     cfgs = tuple(ScoreConfig(criterion=crit) for crit in spec.criteria)
+    rules = [_rule(crit) for crit in spec.criteria]
     for ds_path in spec.datasets:
         data = load_dataset(ds_path)
+        n_trains = [int(f * data.n_rows) for f in spec.train_fractions]
+        for fraction, n_train in zip(spec.train_fractions, n_trains):
+            if n_train < 1 or n_train >= data.n_rows:
+                raise DataError(
+                    f"train fraction {fraction} leaves an empty split "
+                    f"for {data.n_rows} rows")
         # log-likelihood, rank, parameter count x fraction x criterion x rep
         stats = np.empty((3, len(spec.train_fractions), len(spec.criteria),
                           spec.repetitions))
         for rep in range(spec.repetitions):
             perm = np.random.default_rng(spec.seed + rep).permutation(
                 data.n_rows)
-            splits = []
-            for fraction in spec.train_fractions:
-                n_train = int(fraction * data.n_rows)
-                if n_train < 1 or n_train >= data.n_rows:
-                    raise DataError(
-                        f"train fraction {fraction} leaves an empty split "
-                        f"for {data.n_rows} rows")
-                splits.append((Dataset(data.names, data.arities,
-                                       data.rows[perm[:n_train]]),
-                               Dataset(data.names, data.arities,
-                                       data.rows[perm[n_train:]])))
-            learned = learn_datasets([train for train, _ in splits], cfgs)
-            for fi, ((train, test), results) in enumerate(zip(splits,
-                                                               learned)):
-                for ci, (crit, res) in enumerate(zip(spec.criteria, results)):
-                    g = res.network
-                    net = fit_for(crit)(train, g)
-                    stats[0, fi, ci, rep] = mean_test_loglik(net, test)
-                    stats[2, fi, ci, rep] = parameter_count(g, data.arities)
+            permuted = data.rows[perm]
+            learned = learn_datasets(
+                [Dataset(data.names, data.arities, permuted[:n_train])
+                 for n_train in n_trains], cfgs)
+            graphs = [[res.network for res in results] for results in learned]
+            stats[0, :, :, rep] = _mean_test_logliks(
+                permuted, data.arities, n_trains, graphs, rules)
+            for fi, nets in enumerate(graphs):
                 stats[1, fi, :, rep] = _min_ranks(stats[0, fi, :, rep])
+                stats[2, fi, :, rep] = [parameter_count(g, data.arities)
+                                        for g in nets]
         for fi, fraction in enumerate(spec.train_fractions):
             for ci, crit in enumerate(spec.criteria):
                 rows.append([_label(ds_path), crit, _fmt(fraction)]

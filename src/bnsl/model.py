@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset, config_index, config_indices, contingency
-from .errors import DataError
+from .errors import DataError, integer
 from .structure import DagStructure, topological_order
 
 CPT_ROW_TOL = 1e-9
@@ -64,24 +64,32 @@ class BayesianNetwork:
         return self.structure.n
 
 
-def _fit(data: Dataset, g: DagStructure, weights) -> BayesianNetwork:
+def rule_cpts(counts: np.ndarray, rule: str) -> np.ndarray:
+    """CPTs of the rule "ml", "snml" or "bpp" from counts of shape
+    (..., q, r): cell weights, each row normalized, rows with no mass
+    uniform."""
+    w = counts.astype(np.float64)
+    if rule == "snml":  # e(N) (N + 1) with e(0) = 1, e(m) = ((m+1)/m)^m
+        base = np.where(w == 0.0, 1.0, (w + 1.0) / np.where(w == 0.0, 1.0, w))
+        w = np.power(base, w) * (w + 1.0)
+    elif rule == "bpp":  # a Dirichlet prior of 1/(q r) per cell
+        w += 1 / (w.shape[-2] * w.shape[-1])
+    totals = w.sum(axis=-1, keepdims=True)
+    safe = np.where(totals > 0.0, totals, 1.0)
+    return np.where(totals > 0.0, w / safe, 1.0 / w.shape[-1])
+
+
+def _fit(data: Dataset, g: DagStructure, rule: str) -> BayesianNetwork:
     if data.n_vars != g.n:
         raise DataError("dataset and graph variable counts differ")
-    cpts = []
-    for i in range(g.n):
-        counts = contingency(data, i, g.parents[i])
-        w = np.asarray(weights(counts), dtype=np.float64)
-        totals = w.sum(axis=1, keepdims=True)
-        # rows with no mass anywhere fall back to the uniform distribution
-        safe = np.where(totals > 0.0, totals, 1.0)
-        cpt = np.where(totals > 0.0, w / safe, 1.0 / counts.shape[1])
-        cpts.append(cpt)
-    return BayesianNetwork(g, data.arities, tuple(cpts))
+    cpts = tuple(rule_cpts(contingency(data, i, g.parents[i]), rule)
+                 for i in range(g.n))
+    return BayesianNetwork(g, data.arities, cpts)
 
 
 def fit_ml(data: Dataset, g: DagStructure) -> BayesianNetwork:
     """Maximum-likelihood CPTs; unobserved parent rows become uniform."""
-    return _fit(data, g, lambda counts: counts)
+    return _fit(data, g, "ml")
 
 
 def fit_snml(data: Dataset, g: DagStructure) -> BayesianNetwork:
@@ -90,18 +98,13 @@ def fit_snml(data: Dataset, g: DagStructure) -> BayesianNetwork:
     Each cell gets weight e(N_jk) (N_jk + 1) with e(0) = 1 and
     e(m) = ((m+1)/m)^m, then rows are normalized. Strictly positive.
     """
-
-    def weights(counts):
-        c = counts.astype(np.float64)
-        base = np.where(c == 0.0, 1.0, (c + 1.0) / np.where(c == 0.0, 1.0, c))
-        return np.power(base, c) * (c + 1.0)
-
-    return _fit(data, g, weights)
+    return _fit(data, g, "snml")
 
 
 def fit_bpp(data: Dataset, g: DagStructure) -> BayesianNetwork:
-    """Bayesian predictive CPTs under a Dirichlet(1/(r q), ...) prior."""
-    return _fit(data, g, lambda counts: counts + 1.0 / counts.size)
+    """Bayesian predictive CPTs under a Dirichlet prior of 1/(q r) per cell
+    of each family, q parent configurations by r child values."""
+    return _fit(data, g, "bpp")
 
 
 def log_predict(net: BayesianNetwork, row) -> float:
@@ -160,6 +163,8 @@ def sample(net: BayesianNetwork, n_rows: int, seed: int) -> Dataset:
     (variable, row), variable-major in topological order (ties broken by
     node index), and each value is read off the row's CPT by inverse CDF.
     """
+    n_rows = integer(n_rows, "sample size")
+    seed = integer(seed, "seed")
     if n_rows < 0:
         raise DataError("sample size must be nonnegative")
     if seed < 0:

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from bnsl import bench
 from bnsl.bench import (
     DEFAULT_CRITERIA,
     DEFAULT_FRACTIONS,
@@ -16,6 +17,7 @@ from bnsl.bench import (
     TABLE1_GRID,
     bundled_path,
     default_spec,
+    fit_for,
     load_spec,
     run_experiment,
     run_param_count,
@@ -27,7 +29,11 @@ from bnsl.bench import (
 )
 from bnsl.dataset import Dataset, write_dataset
 from bnsl.errors import DataError
+from bnsl.learner import learn_datasets
+from bnsl.model import mean_test_loglik
 from bnsl.regret import regret
+from bnsl.scores import ScoreConfig
+from bnsl.structure import DagStructure
 
 
 # ------------------------------------------------------------------ specs
@@ -291,6 +297,114 @@ def test_runners_reproduce_golden_rows():
             == GOLDEN_PREDICT_RANK)
     assert (as_text(run_param_count(golden_predict_spec("param-count")))
             == GOLDEN_PARAM_COUNT)
+
+
+# ------------------------------------------- batched fits against oracles
+
+def assert_oracle_means(rows, arities, n_trains, graphs, means, criteria,
+                        params=None):
+    """Each mean equals fitting and scoring one split alone, bit for bit."""
+    names = tuple(f"V{i}" for i in range(len(arities)))
+    for n, nets, got_row in zip(n_trains, graphs, means):
+        train = Dataset(names, arities, rows[:n])
+        test = Dataset(names, arities, rows[n:])
+        for crit, g, got in zip(criteria, nets, got_row):
+            want = mean_test_loglik(fit_for(crit, params)(train, g), test)
+            assert got == want, (crit, n, g.parents, got, want)
+
+
+@pytest.mark.parametrize("fractions", [(0.2, 0.7), (0.7, 0.2), (0.5, 0.5),
+                                       (0.5, 0.501, 0.3)])
+def test_batched_prediction_matches_the_per_split_oracle(monkeypatch,
+                                                         fractions):
+    # (0.5, 0.501) give the same n_train on every bundled dataset
+    calls = []
+    batched = bench._mean_test_logliks
+
+    def spy(rows, arities, n_trains, graphs, rules):
+        means = batched(rows, arities, n_trains, graphs, rules)
+        calls.append((rows, arities, n_trains, graphs, means))
+        return means
+
+    monkeypatch.setattr(bench, "_mean_test_logliks", spy)
+    files = ("synth4_n400.csv", "mixed6_n500.csv", "web8_n500.csv")
+    spec = ExperimentSpec(kind="predict-rank", criteria=GOLDEN_CRITERIA,
+                          repetitions=2, seed=5, train_fractions=fractions,
+                          datasets=tuple(bundled_path(f) for f in files))
+    rows = run_predict_rank(spec)
+    assert len(calls) == len(files) * spec.repetitions
+    for rows_, arities, n_trains, graphs, means in calls:
+        assert n_trains == [int(f * len(rows_)) for f in fractions]
+        assert_oracle_means(rows_, arities, n_trains, graphs, means,
+                            GOLDEN_CRITERIA)
+    if fractions == (0.5, 0.5):
+        for ds in range(len(files)):
+            block = rows[1 + 10 * ds:11 + 10 * ds]
+            assert [row[3:] for row in block[:5]] == [row[3:]
+                                                      for row in block[5:]]
+
+
+@pytest.mark.parametrize("params", ["ml", "snml", "bpp"])
+def test_batched_prediction_wide_arity_and_one_row_test_split(params):
+    # column 0 declares three values and column 2 four, but only 0 and 1
+    # occur; a 39-row prefix of 40 rows leaves a one-row test split
+    rows = np.random.default_rng(4).integers(0, 2, size=(40, 3))
+    arities = (3, 2, 4)
+    n_trains = [39, 20, 4, 20]
+    names = ("A", "B", "C")
+    cfgs = tuple(ScoreConfig(criterion=c) for c in GOLDEN_CRITERIA)
+    full = DagStructure(3, ((), (0,), (0, 1)))
+    graphs = [[res.network for res in results] + [full]
+              for results in learn_datasets(
+                  [Dataset(names, arities, rows[:n]) for n in n_trains],
+                  cfgs)]
+    criteria = GOLDEN_CRITERIA + ("bic",)
+    means = bench._mean_test_logliks(rows, arities, n_trains, graphs,
+                                     [params] * len(criteria))
+    assert_oracle_means(rows, arities, n_trains, graphs, means, criteria,
+                        params)
+
+
+@pytest.mark.parametrize("networks", [("chain5.json",),
+                                      ("chain5.json", "collider5.json")])
+def test_shd_curve_converts_each_distinct_dag_once(monkeypatch, networks):
+    # one event list in call order: a network's truth is converted right
+    # after it is loaded, before any DAG learned from its samples
+    events = []
+    load, convert, learn = (bench.load_network, bench.to_cpdag,
+                            bench.learn_datasets)
+
+    def counting_load(path):
+        events.append(("net", path))
+        return load(path)
+
+    def counting_convert(g):
+        events.append(("cpdag", g.parents))
+        return convert(g)
+
+    def recording_learn(datasets, cfgs):
+        for results in learn(datasets, cfgs):
+            events.extend(("learned", res.network.parents)
+                          for res in results)
+            yield results
+
+    monkeypatch.setattr(bench, "load_network", counting_load)
+    monkeypatch.setattr(bench, "to_cpdag", counting_convert)
+    monkeypatch.setattr(bench, "learn_datasets", recording_learn)
+    spec = ExperimentSpec(kind="shd-curve", criteria=GOLDEN_CRITERIA,
+                          sample_sizes=(20, 200), repetitions=10, seed=3,
+                          networks=tuple(bundled_path(f) for f in networks))
+    run_shd_curve(spec)
+    starts = [k for k, e in enumerate(events) if e[0] == "net"]
+    assert len(starts) == len(networks)
+    for start, end in zip(starts, starts[1:] + [len(events)]):
+        segment = events[start + 1:end]
+        truth = load(events[start][1]).structure.parents
+        assert segment[0] == ("cpdag", truth)
+        learned = [p for kind, p in segment if kind == "learned"]
+        converted = [p for kind, p in segment[1:] if kind == "cpdag"]
+        assert len(learned) == 2 * 10 * len(GOLDEN_CRITERIA)
+        assert sorted(converted) == sorted(set(learned))
 
 
 # ------------------------------------------------------------ experiments

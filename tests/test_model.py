@@ -219,6 +219,14 @@ def test_sample_zero_rows():
         sample(chain_net(), 5, seed=-1)
 
 
+def test_sample_checks_size_and_seed_are_integers():
+    for n_rows, seed in ((2.5, 0), (True, 0), (3, 1.5), (3, False)):
+        with pytest.raises(DataError, match="must be an integer"):
+            sample(chain_net(), n_rows, seed)
+    d = sample(chain_net(), np.int64(3), seed=np.int32(7))
+    assert np.array_equal(d.rows, sample(chain_net(), 3, seed=7).rows)
+
+
 def test_sample_respects_deterministic_cpts():
     # B copies A exactly, so every sampled row must satisfy B == A
     g = dag(2, (0, 1))

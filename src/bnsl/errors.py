@@ -1,5 +1,5 @@
 """Shared exception types, mapped onto CLI exit codes, and the integer
-check of arguments from outside the program."""
+and real checks of arguments from outside the program."""
 
 import numbers
 
@@ -17,3 +17,11 @@ def integer(value, what: str) -> int:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise DataError(f"{what} must be an integer, got {value!r}")
     return int(value)
+
+
+def real(value, what: str) -> float:
+    """value as a float: a DataError unless it is a real number, bool
+    excluded."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise DataError(f"{what} must be a real number, got {value!r}")
+    return float(value)

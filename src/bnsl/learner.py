@@ -13,8 +13,8 @@ parent set and the child arity alone. Subsets are counted in blocks, and
 blocks of one shape in batches: one bincount of a batch's joint index,
 then every marginal by exact integer sums, the cached-statistics idea of
 AD-trees (Moore & Lee, JAIR 1998). The criterion's cell terms are
-evaluated once per batch, and the sums of a batch's rows that share a cell
-count are taken with one numpy call each.
+evaluated once per batch, and every family sums its subset's terms in its
+own order, by one plan per block shape.
 
 learn_datasets is the one learn path: it learns datasets of one shape
 under a batch of score configs. learn_criteria is its one-dataset case,
@@ -143,15 +143,13 @@ def _score_tables(datasets, cfgs, max_parents: int | None) -> np.ndarray:
     of the config field it reads, see scores.Criterion: bic, fnml and qnml
     all sum N ln N) form a group. Each group's cell terms are evaluated
     once over a batch's tensor, and the sums of every group are taken in
-    the same numpy calls. The shape's
-    cached plan (see _block_plan) groups its rows by cell count, not by
-    arity sequence: one row per family, its cells in that family's order,
-    and one per parent set within the cap, its cells in natural order. In
-    a small shape one take and one row sum per cell count give every
-    family sum and every parent set's term sum; a large one takes its
-    subsets' cells per arity sequence, then each row's order. A subset
-    counted alone (b = 0) is summed child by child. A group's family sums
-    land in its first config's tables. Penalties are evaluated per config
+    the same numpy calls. Every block shape, a set B counted alone (b = 0)
+    included, is summed by its cached plan (see _block_plan): one row per
+    family, its cells in that family's order, and one per parent set
+    within the cap, its cells in natural order. Subsets of one arity
+    sequence are taken together, then each row's order, in takes of at
+    most _GATHER_ENTRIES entries or one family's cells. A group's family
+    sums land in its first config's tables. Penalties are evaluated per config
     over every dataset at once, and each config's join takes the family
     sums, the parent sets' own term sums and the penalties of all children
     and datasets at once, with each dataset's row count (see
@@ -235,60 +233,43 @@ def _score_tables(datasets, cfgs, max_parents: int | None) -> np.ndarray:
         terms = np.empty((len(groups), *cube.shape))
         for g, group in enumerate(groups):
             cfg, crit, _ = scorers[group[0]]
-            terms[g] = crit.cell(cube, plan.cells if b else bcells,
-                                 max(sizes), cfg)
-        if not b:
-            terms = terms.reshape(len(groups), m * nd, *bdims)
-            for j in range(len(bdims)):
-                sums = np.moveaxis(terms, 2 + j, -1).reshape(
-                    len(groups), m, nd, -1).sum(axis=-1)
-                for g, flat in enumerate(owners):
-                    flat[offsets[:, 2 + j, None] + starts] = sums[g]
-            if len(bdims) <= cap:
-                parent[:, :, bmasks] = terms.reshape(
-                    len(groups), m, nd, -1).sum(axis=-1).swapaxes(1, 2)
-                pens = np.empty((len(cfgs), len(child_arities), m, nd, 1))
-                penalize(cube.reshape(m, nd, 1, -1), pens)
-                penalty[:, :, :, bmasks] = pens[..., 0].transpose(0, 3, 1, 2)
-            return
-        # positions pick single cells of a block's tensor, or with orders,
-        # chunks of B's cells; the groups' rows are stacked
+            terms[g] = crit.cell(cube, plan.cells, max(sizes), cfg)
+        # a position picks one cell of the first b axes with all of B's
+        # cells after it; the groups' rows are stacked
         rows_all = len(groups) * m * nd
         terms = terms.reshape(rows_all, *cube.shape[1:])
-        cells = terms.reshape(rows_all, -1)
         sums = np.empty((rows_all, plan.rows))
         pens = np.empty((len(cfgs), len(child_arities), m, nd,
                          len(plan.pdest)))
         start = 0
         for k, parts, first, parents in plan.groups:
+            # one take holds at most _GATHER_ENTRIES entries, or one
+            # family's cells: a few subsets with all their orders, or one
+            # subset with a few of them
+            fit = max(1, _GATHER_ENTRIES // (rows_all * k))
             for rows, orders in parts:
-                # one take holds at most _GATHER_ENTRIES entries, or one row
-                width = k if orders is None else k * len(orders)
-                step = max(1, _GATHER_ENTRIES // (rows_all * width))
+                t = len(orders)
+                step, width = max(1, fit // t), min(fit, t)
                 for row in range(0, len(rows), step):
-                    if orders is None:
-                        part = np.take(cells, rows[row:row + step], axis=1)
-                    else:
-                        part = np.take(np.take(
-                            terms, rows[row:row + step], axis=1).reshape(
-                                -1, k), orders, axis=1)
-                    part = part.reshape(rows_all, -1, k)
-                    end = start + part.shape[1]
-                    part.sum(axis=-1, out=sums[:, start:end])
+                    chunk = rows[row:row + step]
+                    part = np.take(terms, chunk, axis=1).reshape(-1, k)
+                    end = start + len(chunk) * t
+                    # a view: a column per (subset, order), orders last
+                    out = sums[:, start:end].reshape(rows_all, len(chunk), t)
+                    for o in range(0, t, width):
+                        np.take(part, orders[o:o + width], axis=1).reshape(
+                            rows_all, len(chunk), -1, k).sum(
+                                axis=-1, out=out[:, :, o:o + width])
                     start = end
             if len(parents):
                 totals = np.take(cube, parents, axis=1).reshape(
                     m, nd, len(parents), k)
                 penalize(totals, pens[..., first:first + len(parents)])
         sums = sums.reshape(len(groups), m, nd, -1)
-        if bdims:
-            fdest = plan.fdest + offsets[:, plan.fsel]
-            pdest = plan.pdest + bmasks[:, None]
-        else:
-            fdest, pdest = plan.fdest[None], plan.pdest[None]
-        fdest = fdest[:, None] + starts[:, None]
+        fdest = (plan.fdest + offsets[:, plan.fsel])[:, None] + starts[:, None]
         for g, flat in enumerate(owners):
             flat[fdest] = sums[g][..., plan.fcols]
+        pdest = plan.pdest + bmasks[:, None]
         parent[:, :, pdest] = sums[..., plan.pcols].swapaxes(1, 2)
         penalty[:, :, :, pdest] = pens.transpose(0, 3, 1, 2, 4)
 
@@ -310,10 +291,7 @@ def _score_tables(datasets, cfgs, max_parents: int | None) -> np.ndarray:
     for b, bdims, size, bvars, bmasks, offsets in shapes:
         # a batch's tensor and its stacked index stay within the budget
         step = max(1, _BLOCK_CELLS // max(nd * size, at))
-        plan = None
-        if b:
-            plan = _block_plan(n, arities[:b], bdims,
-                               min(cap, b + len(bdims)))
+        plan = _block_plan(n, arities[:b], bdims, min(cap, b + len(bdims)))
         for start in range(0, len(bvars), step):
             batch = slice(start, start + step)
             count(b, bdims, bvars[batch], bmasks[batch], offsets[batch], plan)
@@ -378,8 +356,8 @@ _BLOCK_CELLS = 1 << 18
 # other, 1/16 ahead at cap 3-4; 1/128 up to 1.5x slower, and no split on
 # fill 2-3x slower
 _CAPPED_FILL = 16
-# one gather of sums or local scores holds at most this many entries, or
-# one row of them
+# one gather holds at most this many entries, or the least its loop takes:
+# one family's cells, or one row of sums or local scores
 _GATHER_ENTRIES = 1 << 17
 # the tables of one learn_datasets run hold at most this many bytes, or one
 # table: all five criteria on one dataset at n <= 14 share one run, and
@@ -526,22 +504,23 @@ def _marginals(joint: np.ndarray, blocks: int, low: tuple[int, ...],
 
 
 class _BlockPlan(NamedTuple):
-    """Where every row of a block shape's sums comes from and goes to.
+    """Where every row of a block shape's sums comes from and goes to: one
+    plan for every shape, the first block (no B) and a set B counted alone
+    (b = 0) included.
 
     Rows are grouped by cell count k; groups holds, per k, (k, the parts
     that give its rows' sums in column order, the first parent row's
     column among all parent rows, and the parent sets' cells). A part is
-    (a few subsets' cells in natural order, one row each, and the orders
-    that make their rows: each child's family order, then the parent set's
-    own order when it is within the cap); there a position picks one cell
-    of the first b axes with all of B's cells after it. A small shape
-    composes each cell count's parts into one, (its rows, None), with one
-    position per tensor cell. A family row's column is in fcols and goes to
-    table position fdest plus the block's offset fsel (see count), a parent
-    row's column is in pcols and goes to parent set pdest plus B's mask.
-    cells holds the distinct cell counts of the shape's subsets and, per
-    chunk of B's cells, the index of its subset's count among them, for
-    criteria whose cell terms depend on it (see scores.Criterion).
+    (the subsets of one arity sequence, as their cells in natural order,
+    one row each, and the orders that make their rows: each child's family
+    order, then the parent set's own order when it is within the cap);
+    there a position picks one cell of the first b axes with all of B's
+    cells after it. A family row's column is in fcols and goes to table
+    position fdest plus the block's offset fsel (see count), a parent row's
+    column is in pcols and goes to parent set pdest plus B's mask. cells
+    holds the distinct cell counts of the shape's subsets and, per chunk of
+    B's cells, the index of its subset's count among them, for criteria
+    whose cell terms depend on it (see scores.Criterion).
     """
 
     cells: tuple
@@ -557,8 +536,9 @@ class _BlockPlan(NamedTuple):
 def _block_plan(n: int, low: tuple[int, ...], bdims: tuple[int, ...],
                 cap: int) -> _BlockPlan:
     """The cached plan of blocks (b, B) of n variables: low holds the
-    arities of the first b >= 1 variables, bdims those of B; families have
-    at most cap + 1 variables, parent sets at most cap."""
+    arities of the first b variables (none for a set B counted alone),
+    bdims those of B; families have at most cap + 1 variables, parent sets
+    at most cap."""
     return _PLANS.get(("block", n, low, bdims, cap),
                       lambda: _build_block_plan(n, low, bdims, cap))
 
@@ -615,9 +595,6 @@ def _build_block_plan(n, low, bdims, cap):
     step = np.array([math.prod(r + 1 for r in low[i + 1:]) for i in range(b)],
                     dtype=np.int64)
     first = (1 - bits[masks]) @ (np.array(low, dtype=np.int64) * step)
-    # a small shape composes its rows, one position per cell, so one take
-    # per cell count gives all their sums
-    small = (count[masks] * span).sum() <= _BLOCK_CELLS
     groups = {}
     bounds = np.flatnonzero(np.diff(key[masks])) + 1
     for group, base, own in zip(np.split(masks, bounds),
@@ -630,25 +607,17 @@ def _build_block_plan(n, low, bdims, cap):
         rows = base[:, None] + step[members] @ np.indices(
             dims, dtype=np.int64).reshape(len(dims), math.prod(dims))
         orders = _orders(dims + bdims, bool(own[0]))
-        k = orders.shape[1]
-        if small:
-            natural = (rows[:, :, None] * bcells + np.arange(bcells)).reshape(
-                len(group), k)
-            orders = np.take(natural, orders, axis=1).reshape(-1, k)
-        groups.setdefault(k, []).append((rows, orders, own[0]))
+        groups.setdefault(orders.shape[1], []).append((rows, orders, own[0]))
     plan = []
     npar = 0
     for k in sorted(groups):
         parts = groups[k]
         parents = np.concatenate([rows for rows, _, own in parts if own]
                                  or [np.zeros((0, k // bcells), np.int64)])
-        if small:
-            parts = [(np.concatenate([rows for _, rows, _ in parts]), None)]
-        else:
-            # a part within the cap reads its rows from the parent rows
-            at = np.cumsum([len(rows) * own for rows, _, own in parts])
-            parts = [(parents[end - len(rows):end] if own else rows, orders)
-                     for (rows, orders, own), end in zip(parts, at)]
+        # a part within the cap reads its rows from the parent rows
+        at = np.cumsum([len(rows) * own for rows, _, own in parts])
+        parts = [(parents[end - len(rows):end] if own else rows, orders)
+                 for (rows, orders, own), end in zip(parts, at)]
         plan.append((k, parts, npar, parents))
         npar += len(parents)
     return _BlockPlan(cells=cells, rows=int(span.sum()), groups=tuple(plan),

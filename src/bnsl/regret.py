@@ -34,11 +34,11 @@ BRUTEFORCE_LIMIT = 1 << 24
 
 
 def canonical_method(tag: str) -> str:
-    """Map a method tag or CLI alias onto its canonical name."""
-    try:
-        return _ALIASES[tag]
-    except KeyError:
-        raise DataError(f"unknown regret method {tag!r}") from None
+    """Map a method tag or CLI alias onto its canonical name; anything else,
+    a tag that is not a str included, is a DataError."""
+    if not isinstance(tag, str) or tag not in _ALIASES:
+        raise DataError(f"unknown regret method {tag!r}")
+    return _ALIASES[tag]
 
 
 def _check_args(n: int, r: int) -> None:

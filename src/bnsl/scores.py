@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset, _xlogx_table, contingency
-from .errors import DataError
+from .errors import DataError, real
 from .regret import RegretCache, canonical_method, shared_cache
 from .structure import DagStructure
 
@@ -44,7 +44,8 @@ class ScoreConfig:
         if self.criterion not in CRITERIA:
             raise DataError(f"unknown criterion {self.criterion!r}; "
                             f"expected one of {', '.join(CRITERIA)}")
-        for alpha in (self.bdeu_alpha, self.bdq_alpha):
+        for name in ("bdeu_alpha", "bdq_alpha"):
+            alpha = real(getattr(self, name), name)
             if not (alpha > 0.0 and math.isfinite(alpha)):
                 raise DataError("Dirichlet hyperparameters must be positive "
                                 "and finite")

@@ -175,8 +175,8 @@ def test_subset_table_equals_per_family_scores(case, cached, block_cells):
     with pytest.MonkeyPatch.context() as mp:
         if not cached:
             # an empty cache that keeps no plan, so each is built where it
-            # is used; every take holds one row, and the join runs one
-            # child at a time
+            # is used; every take holds one family's cells, and the join
+            # runs one child at a time
             mp.setattr(learner, "_PLANS", learner._PlanCache())
             mp.setattr(learner, "_PLAN_BYTES", 0)
             mp.setattr(learner, "_GATHER_ENTRIES", 0)
@@ -204,6 +204,65 @@ def test_tall_table_equals_per_family_scores():
     for cfg in configs:
         assert _same_bits(compute_local_scores(data, cfg).scores,
                           _family_table(data, cfg)), cfg
+
+
+def test_mixed_arity_table_equals_per_family_scores():
+    # nine variables of arities 2-4 under the default budgets: uncapped,
+    # the blocks (7, two variables), (7, one) and (8, none); at cap 2,
+    # blocks of three variables counted alone (b = 0) as well
+    rng = np.random.default_rng(5)
+    arities = tuple(int(a) for a in rng.integers(2, 5, 9))
+    rows = np.zeros((400, 9), dtype=np.int64)
+    rows[:, 0] = rng.integers(0, arities[0], 400)
+    for j in range(1, 9):
+        fresh = rng.random(400) < 0.3
+        rows[:, j] = np.where(fresh, rng.integers(0, arities[j], 400),
+                              rows[:, j - 1] % arities[j])
+    data = Dataset(tuple(f"V{i}" for i in range(9)), arities, rows)
+    shapes = {cap: {(b, len(bdims)) for b, bdims, *_ in
+                    learner._learn_shape(arities, cap)[2]}
+              for cap in (None, 2)}
+    assert shapes[None] == {(7, 2), (7, 1), (8, 0)}
+    assert (0, 3) in shapes[2]
+    for crit in CRITERIA:
+        cfg = ScoreConfig(criterion=crit)
+        for cap in (None, 2):
+            assert _same_bits(compute_local_scores(data, cfg, cap).scores,
+                              _family_table(data, cfg, cap)), (crit, cap)
+
+
+def test_cell_term_gathers_hold_one_family_at_most():
+    # with no gather budget, every take of cell terms holds one family's
+    # cells per tensor row: one subset's cells, then one order at a time.
+    # A budget of 64 cells splits the variables into many small blocks,
+    # sets counted alone (b = 0) among them. A take of parent-set counts
+    # holds at most the count tensor, so only cell-term takes are checked
+    arities = (2, 3, 2, 3, 2)
+    rows = np.random.default_rng(3).integers(0, arities, (60, 5))
+    data = Dataset(tuple("ABCDE"), arities, rows)
+    take = np.take
+    seen = []
+
+    def recorded(a, indices, *args, **kwargs):
+        out = take(a, indices, *args, **kwargs)
+        if a.dtype.kind == "f":
+            seen.append(out.size // out.shape[0])
+        return out
+
+    for crit in CRITERIA:
+        cfg = ScoreConfig(criterion=crit)
+        for cap in (None, 2):
+            seen.clear()
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(learner, "_PLANS", learner._PlanCache())
+                mp.setattr(learner, "_GATHER_ENTRIES", 0)
+                mp.setattr(learner, "_BLOCK_CELLS", 64)
+                mp.setattr(np, "take", recorded)
+                table = compute_local_scores(data, cfg, cap).scores
+            # the largest family: every variable, or three
+            k = 2 * 3 * 2 * 3 * 2 if cap is None else 3 * 3 * 2
+            assert seen and max(seen) <= k, (crit, cap, max(seen))
+            assert _same_bits(table, _family_table(data, cfg, cap))
 
 
 def test_capped_blocks_are_counted_in_batches():

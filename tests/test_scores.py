@@ -53,6 +53,20 @@ def test_config_validation():
         ScoreConfig(regret_method="simpson")
 
 
+def test_config_refuses_arguments_of_the_wrong_type():
+    # a DataError, not a TypeError from the comparison or the alias lookup,
+    # and a bool is no hyperparameter
+    for field, bad in (("bdeu_alpha", "1"), ("bdeu_alpha", True),
+                       ("bdq_alpha", None), ("bdq_alpha", [0.5]),
+                       ("regret_method", ["exact"]), ("regret_method", 1)):
+        with pytest.raises(DataError):
+            ScoreConfig(**{field: bad})
+    # ints and numpy floats are reals
+    assert ScoreConfig(bdeu_alpha=2).bdeu_alpha == 2
+    assert ScoreConfig(bdq_alpha=np.float64(0.25)).bdq_alpha == 0.25
+    assert ScoreConfig(bdq_alpha=np.float32(0.5)).bdq_alpha == 0.5
+
+
 @given(st.integers(1, 10 ** 6))
 @settings(max_examples=30)
 def test_max_loglik_matches_counter_oracle(seed):

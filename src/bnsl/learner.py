@@ -36,12 +36,17 @@ peak memory by the number of configs.
 
 The index work of a learn depends on its shape alone (n, the arities and
 the cap), not on the data: where each family's cells sit in a block, where
-its sums go in the table, which subsets the sink sweep meets. It is built
-once per shape with whole-array steps and kept in a plan cache of bounded
-bytes (_PLANS), so learns of one shape share it.
+its sums go in the table, which subsets the sink sweep meets. The block
+plans, the dearest of it, are built once per block shape with whole-array
+steps and kept in a plan cache of bounded bytes (_PLANS), so learns of one
+shape share them. The block shapes, the join's chunks and the sink sweep's
+chunks cost less than the work they index, and are built where they are
+used.
 
-The two search stages keep scores only; ties are resolved once, during
-backtracking (see _search).
+The two search stages keep scores only. One search path serves every
+stack of tables: both sweeps take the tables as their last axis, and ties
+are resolved once, during backtracking, in one array step per variable for
+all tables at once (see _search).
 """
 
 from __future__ import annotations
@@ -59,8 +64,7 @@ from .dataset import MAX_TABLE_CELLS, Dataset
 from .errors import DataError, ResourceLimitError, integer
 from .regret import shared_cache
 from .scores import ScoreConfig, criterion, not_finite
-from .structure import (DagStructure, dag_from_masks, enumerate_dags,
-                        mask_to_parents)
+from .structure import DagStructure, dag_from_masks, enumerate_dags
 
 MAX_VARS = 20
 BRUTEFORCE_MAX_VARS = 5
@@ -130,10 +134,10 @@ def _score_tables(datasets, cfgs, max_parents: int | None) -> np.ndarray:
     A family {c} + P has the cells of the subset T = P + {c}, and every
     criterion's other terms depend on P and the child arity alone (see
     scores.Criterion). The subsets T with |T| <= cap + 1 are counted in the
-    blocks of _block_shapes: every A within the first b variables, joined
-    with one set B of later ones. One bincount of the block's joint index
-    (the dataset and the first-b prefix index, times cells(B), plus B's
-    index) gives the joint counts of every dataset; appending to each of
+    blocks of _build_block_shapes: every A within the first b variables,
+    joined with one set B of later ones. One bincount of the block's joint
+    index (the dataset and the first-b prefix index, times cells(B), plus
+    B's index) gives the joint counts of every dataset; appending to each of
     the b axes one slot that holds the sum over that axis gives every A + B
     count array at once, by exact integer sums. Blocks of one shape are
     counted together, as many in one tensor as fit _BLOCK_CELLS; a block's
@@ -216,10 +220,7 @@ def _score_tables(datasets, cfgs, max_parents: int | None) -> np.ndarray:
         low = arities[:b]
         bcells = math.prod(bdims)
         # the prefix's leading digit is the dataset
-        if b < top:
-            joint = prefix // math.prod(arities[b:top])
-        else:
-            joint = prefix
+        joint = prefix // math.prod(arities[b:top])
         if bdims:
             index = columns[bvars[:, 0] - lowest]
             for j in range(1, len(bdims)):
@@ -329,7 +330,7 @@ def _score_tables(datasets, cfgs, max_parents: int | None) -> np.ndarray:
 
 
 def _learn_shape(arities: tuple[int, ...], max_parents: int | None):
-    """The cap and the cached blocks (top, shapes, cells; see _block_shapes)
+    """The cap and the blocks (top, shapes, cells; see _build_block_shapes)
     of a learn over variables of these arities. More variables than
     MAX_VARS, or a family within the cap of more cells than
     MAX_TABLE_CELLS, is a ResourceLimitError."""
@@ -343,7 +344,7 @@ def _learn_shape(arities: tuple[int, ...], max_parents: int | None):
         raise ResourceLimitError(
             f"a family with {largest} cells exceeds the dense-table guard of "
             f"{MAX_TABLE_CELLS}")
-    return cap, *_block_shapes(arities, cap)
+    return cap, *_build_block_shapes(arities, cap)
 
 
 # a block's marginal tensor holds at most this many cells, and a run of
@@ -363,17 +364,17 @@ _GATHER_ENTRIES = 1 << 17
 # table: all five criteria on one dataset at n <= 14 share one run, and
 # from n = 17 up each config is its own run
 _BATCH_BYTES = 1 << 23
-# every cached index plan together holds at most this many bytes: all the
-# plans of a binary n = 14 learn (about 21 MiB) fit, and no sink-sweep plan
-# from n = 17 up (37 MiB and more), so large searches keep their peak
+# every cached block plan together holds at most this many bytes: the 9
+# block plans of a binary n = 14 learn (about 16 MiB) fit; the 14 of a
+# binary n = 16 learn (about 56 MiB) do not, and evict each other
 _PLAN_BYTES = 1 << 25
 
 
 class _PlanCache:
-    """Index plans by key, least recently used first, kept while all of them
-    fit _PLAN_BYTES; a plan larger than that is built on every use. A plan
-    is a function of its key alone, so one cache serves every learn in the
-    process without changing any result."""
+    """Block plans by key, least recently used first, kept while all of
+    them fit _PLAN_BYTES; a plan larger than that is built on every use. A
+    plan is a function of its key alone, so one cache serves every learn in
+    the process without changing any result."""
 
     def __init__(self):
         self.plans = OrderedDict()
@@ -410,14 +411,16 @@ def _arrays(plan):
 _PLANS = _PlanCache()
 
 
-def _block_shapes(arities: tuple[int, ...], cap: int):
-    """The cached blocks of a learn over variables of these arities with at
-    most cap parents: (top, shapes, cells). top is the widest prefix of
-    variables whose marginal tensor fits one block. Per block shape (b, the
-    arities of B), shapes holds (b, B's arities, the cells of one block's
-    tensor, then per block B's variables ascending, B's mask and the table
-    offsets that count adds to its plan's positions). cells holds the cells
-    of every variable subset, indexed by its mask.
+def _build_block_shapes(arities: tuple[int, ...], cap: int):
+    """The blocks of a learn over variables of these arities with at most
+    cap parents: (top, shapes, cells), built on every learn, since they
+    cost less to build than the block plans they key (see _block_plan).
+    top is the widest prefix of variables whose marginal tensor fits one
+    block. Per block shape (b, the arities of B), shapes holds (b, B's
+    arities, the cells of one block's tensor, then per block B's variables
+    ascending, B's mask and the table offsets that count adds to its plan's
+    positions). cells holds the cells of every variable subset, indexed by
+    its mask.
 
     The first block is (n, {}). A block is split on variable b - 1 into
     (b - 1, B) and (b - 1, B + {b - 1}) while its marginal tensor exceeds
@@ -427,11 +430,6 @@ def _block_shapes(arities: tuple[int, ...], cap: int):
     together, so a small cap, which leaves many small blocks, costs few
     numpy calls.
     """
-    return _PLANS.get(("shapes", arities, cap, _BLOCK_CELLS),
-                      lambda: _build_block_shapes(arities, cap))
-
-
-def _build_block_shapes(arities, cap):
     n = len(arities)
     half = 1 << (n - 1)
     # per b: the marginal tensor width of the first b variables, and per j
@@ -641,10 +639,11 @@ def _orders(dims: tuple[int, ...], own: bool) -> np.ndarray:
 
 
 def _join_plan(n: int, cap: int):
-    """The admissible parent-set columns (None: all of them), and per chunk
-    of children, (first child, each child's parent sets as masks over all
-    variables). A chunk holds at most _GATHER_ENTRIES entries, or one
-    child's."""
+    """The admissible parent-set columns (None: all of them), and a
+    generator of chunks of children, each (first child, each child's parent
+    sets as masks over all variables). A chunk holds at most
+    _GATHER_ENTRIES entries, or one child's. Built on every join, whose
+    gathers cost more than the plan."""
     half = 1 << (n - 1)
     admissible = None
     columns = np.arange(half)
@@ -654,9 +653,7 @@ def _join_plan(n: int, cap: int):
     chunks = ((c, _expand_mask(columns,
                                np.arange(c, min(c + step, n))[:, None]))
               for c in range(0, n, step))
-    if n * len(columns) * 8 > _PLAN_BYTES:
-        return admissible, chunks
-    return _PLANS.get(("join", n, cap), lambda: (admissible, list(chunks)))
+    return admissible, chunks
 
 
 @lru_cache(maxsize=4)
@@ -700,23 +697,18 @@ def _sweep_plan(n: int):
     """Per chunk of subsets w, one popcount layer after another: w, w
     without each sink s (row s), and the index of w's best parent score for
     s in the flattened n x 2^(n-1) best-parent table. A chunk's n x chunk
-    gathers hold at most _GATHER_ENTRIES entries, or one subset's."""
+    gathers hold at most _GATHER_ENTRIES entries, or one subset's. Each
+    chunk is built when the sweep reaches it, so the sweep holds one chunk
+    at a time."""
     half = 1 << (n - 1)
     popcount = _popcounts(n)
     sinks = np.arange(n)[:, None]
     step = max(1, _GATHER_ENTRIES // n)
-
-    def chunks():
-        for k in range(1, n + 1):
-            layer = np.flatnonzero(popcount == k)
-            for start in range(0, len(layer), step):
-                w = layer[start:start + step]
-                yield (w, w ^ (1 << sinks),
-                       sinks * half + _compress_mask(w, sinks))
-    # w, and n rows each of rest and index, over every subset
-    if (2 * n + 1) * 8 << n > _PLAN_BYTES:
-        return chunks()
-    return _PLANS.get(("sweep", n), lambda: list(chunks()))
+    for k in range(1, n + 1):
+        layer = np.flatnonzero(popcount == k)
+        for start in range(0, len(layer), step):
+            w = layer[start:start + step]
+            yield w, w ^ (1 << sinks), sinks * half + _compress_mask(w, sinks)
 
 
 def _best_sinks(best_score: np.ndarray) -> np.ndarray:
@@ -728,8 +720,7 @@ def _best_sinks(best_score: np.ndarray) -> np.ndarray:
     time, so every subset one smaller is final before w is scored. A wide
     layer is scored in chunks, whose indices come from the sweep plan of n.
     """
-    n, half = best_score.shape[:2]
-    tables = best_score.shape[2:]
+    n, half, *tables = best_score.shape
     flat = best_score.reshape(n * half, *tables)
     # a sink s outside w meets w + {s}, still -inf in the layer above
     best = np.full((1 << n, *tables), -np.inf)
@@ -738,60 +729,62 @@ def _best_sinks(best_score: np.ndarray) -> np.ndarray:
         total = best.take(rest, axis=0)
         total += flat.take(index, axis=0)
         best[w] = total.max(axis=0)
-        # a chunk built on the fly is freed before the next one is built
+        # freed before the plan builds the next chunk
         del w, rest, index, total
     return best
 
 
-def _search(tables: np.ndarray) -> list[list[tuple[int, int, float]]]:
-    """Per local-score table of a (tables, n, 2^(n-1)) stack: (sink, parent
-    mask, local score) of an optimal network, last sink first.
+def _search(tables: np.ndarray
+            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """An optimal network of every local-score table of a (tables, n,
+    2^(n-1)) stack, as three (tables, n) arrays in backtracking order, last
+    sink first: the sinks, their parent masks over all variables, and their
+    local scores.
 
     Both sweeps run on all tables at once, with the tables as the last
-    axis, so each step gathers every table's entries in one call; a single
-    table is swept as it is. Ties are broken here, once per variable: the
+    axis, so each step gathers every table's entries in one call. Ties are
+    broken here, once per variable and for all tables in one step: the
     smallest sink whose sum (the sweep's own float addition) reaches the
     subset's best, then the parent subset of smallest cardinality, then
     smallest mask, whose score equals the fold's best exactly.
     """
     count, n, half = tables.shape
-    stack = tables[0] if count == 1 else np.moveaxis(tables, 0, -1)
-    best_score = _best_parents(stack)
-    best = _best_sinks(best_score).reshape(1 << n, count)
+    best_score = _best_parents(np.moveaxis(tables, 0, -1))
+    best = _best_sinks(best_score)
     fold = best_score.reshape(n * half, count)
-    steps = []
-    for t in range(count):
-        sweep, own = best[:, t], fold[:, t]
-        w = (1 << n) - 1
-        while w:
-            # sweep[w] is the largest of these sums, so one of them reaches it
-            for s in range(n):
-                rest = w ^ 1 << s
-                if rest < w and sweep[rest] + own[
-                        s * half + _compress_mask(rest, s)] == sweep[w]:
-                    break
-            w = rest
-            steps.append((t, s, w))
+    table = np.arange(count)[:, None]
+    every = np.arange(n)
+    sinks = np.empty((count, n), dtype=np.int64)
+    rest = np.empty_like(sinks)
+    w = np.full((count, 1), (1 << n) - 1)
+    for k in range(n):
+        # best[w] is the largest of these sums, so one of them reaches it;
+        # argmax takes the first, the smallest sink
+        left = w ^ 1 << every
+        sums = best[left, table] + fold[
+            every * half + _compress_mask(left, every), table]
+        reach = (left < w) & (sums == best[w, table])
+        sinks[:, k] = reach.argmax(axis=1)
+        w = left[table, sinks[:, k, None]]
+        rest[:, k] = w[:, 0]
     # the parent sets of every table's sinks at once, a few sinks per pass
-    table, sinks, rest = np.array(steps).T
     candidates = _compress_mask(rest, sinks)
-    best = fold[sinks * half + candidates, table]
+    scores = fold[sinks * half + candidates, table]
     rows = tables.reshape(-1, half)
-    row = table * n + sinks
+    row = (table * n + sinks).ravel()
+    wanted = scores.ravel()
+    candidates = candidates.astype(np.int32).ravel()
     popcount = _popcounts(n)[:half]
     masks = np.arange(half, dtype=np.int32)
-    candidates = candidates.astype(np.int32)
-    picks = []
+    chosen = np.empty(count * n, dtype=np.int64)
     step = max(1, _GATHER_ENTRIES // half)
     for i in range(0, len(row), step):
         j = slice(i, i + step)
-        hit = ((rows[row[j]] == best[j, None])
+        hit = ((rows[row[j]] == wanted[j, None])
                & (masks & ~candidates[j, None] == 0))
         # argmin takes the first of the fewest parents: the smallest mask
-        chosen = np.where(hit, popcount, n).argmin(axis=1)
-        picks += [(s, _expand_mask(m, s), score) for s, m, score in zip(
-            sinks[j].tolist(), chosen.tolist(), best[j].tolist())]
-    return [picks[t * n:(t + 1) * n] for t in range(count)]
+        chosen[j] = np.where(hit, popcount, n).argmin(axis=1)
+    return sinks, _expand_mask(chosen.reshape(count, n), sinks), scores
 
 
 def learn_datasets(datasets, cfgs, max_parents: int | None = None
@@ -862,25 +855,31 @@ def learn_datasets(datasets, cfgs, max_parents: int | None = None
 
 def _learn_run(run, cfgs, max_parents, tables):
     """Per dataset of a run, per config, (network, total, per-variable
-    scores), the configs scored in runs of at most `tables` tables."""
-    n = run[0].n_vars
+    scores), the configs scored in runs of at most `tables` tables. Each
+    distinct network of the run (parent sets and names) is built once,
+    through the public DagStructure constructor, so equal networks are one
+    object."""
     networks = [[None] * len(cfgs) for _ in run]
+    built = {}
     step = max(1, tables // len(run))
     for first in range(0, len(cfgs), step):
         stack = _score_tables(run, cfgs[first:first + step], max_parents)
-        stack = stack.reshape(-1, *stack.shape[2:])
-        # table t is config first + t // len(run) on dataset t % len(run)
-        for t, picks in enumerate(_search(stack)):
-            i, d = divmod(t, len(run))
-            parents = [()] * n
-            per = [0.0] * n
-            for s, mask, score in picks:
-                parents[s] = mask_to_parents(mask)
-                per[s] = score
-            networks[d][first + i] = (DagStructure(n, tuple(parents),
-                                                   run[d].names),
-                                      float(sum(per)), tuple(per))
+        sinks, masks, scores = _search(stack.reshape(-1, *stack.shape[2:]))
         del stack
+        # each table's picks by variable
+        table = np.arange(len(sinks))[:, None]
+        parents, per_var = np.empty_like(masks), np.empty_like(scores)
+        parents[table, sinks], per_var[table, sinks] = masks, scores
+        # table t is config first + t // len(run) on dataset t % len(run)
+        for t, (masks, per) in enumerate(zip(parents.tolist(),
+                                             per_var.tolist())):
+            i, d = divmod(t, len(run))
+            key = tuple(masks), run[d].names
+            if key not in built:
+                built[key] = dag_from_masks(key[0], run[d].names)
+            # a Python sum, left to right: numpy's pairwise sum gives other
+            # bits from nine variables up
+            networks[d][first + i] = built[key], float(sum(per)), tuple(per)
     return networks
 
 

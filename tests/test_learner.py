@@ -313,6 +313,74 @@ def test_plans_are_kept_per_shape():
                 assert learn_exact(data, cfg, cap).network == network
 
 
+def test_only_block_plans_are_kept():
+    # the harness shapes: samples of every bundled network and the bundled
+    # web8 CSV, under every criterion, uncapped and capped. The sink-sweep
+    # and join plans and the block shapes are built where they are used
+    from bnsl.bench import bundled_path
+    from bnsl.dataset import load_dataset
+    from bnsl.model import load_network, sample
+
+    cfgs = [ScoreConfig(criterion=c) for c in CRITERIA]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(learner, "_PLANS", learner._PlanCache())
+        for name in ("chain5", "collider5", "mixed6", "web8"):
+            net = load_network(bundled_path(f"{name}.json"))
+            learn_datasets([sample(net, 100, seed=s) for s in range(3)], cfgs)
+        web8 = load_dataset(bundled_path("web8_n500.csv"))
+        for cap in (1, 2):
+            learn_criteria(web8, cfgs, cap)
+        keys = list(learner._PLANS.plans)
+    assert keys and all(key[0] == "block" for key in keys), keys
+
+
+def _chain_rows(rng, n, n_rows):
+    """Binary rows where each variable copies the one before, 30 % noise."""
+    rows = np.zeros((n_rows, n), dtype=np.int64)
+    rows[:, 0] = rng.integers(0, 2, n_rows)
+    for j in range(1, n):
+        rows[:, j] = np.where(rng.random(n_rows) < 0.3,
+                              rng.integers(0, 2, n_rows), rows[:, j - 1])
+    return rows
+
+
+def test_a_run_builds_each_distinct_network_once():
+    # two copies of one dataset in one run, and configs that agree on a
+    # DAG, share one network object; every network is what the public
+    # constructor builds from its parent sets and names
+    from bnsl.structure import DagStructure
+
+    rows = _chain_rows(np.random.default_rng(0), 5, 200)
+    data = Dataset(tuple("ABCDE"), (2,) * 5, rows)
+    other = Dataset(tuple("abcde"), (2,) * 5, rows)
+    cfgs = [ScoreConfig(criterion=c) for c in CRITERIA]
+    learned = learn_datasets((data, data, other), cfgs)
+    for first, second, renamed in zip(*learned):
+        assert first.network is second.network
+        assert renamed.network == DagStructure(5, first.network.parents,
+                                               other.names)
+    for results in learned:
+        networks = [res.network for res in results]
+        for g in networks:
+            assert g == DagStructure(g.n, g.parents, g.names)
+        for g, h in zip(networks, networks[1:]):
+            assert (g is h) == (g == h)
+
+
+def test_total_score_sums_the_variables_in_order():
+    # nine variables, each config's table in a run of its own dataset: the
+    # total is a Python sum over the variables in order, bit for bit, where
+    # numpy's pairwise sum gives other bits for some of the five criteria
+    n = 9
+    data = Dataset(tuple(f"V{i}" for i in range(n)), (2,) * n,
+                   _chain_rows(np.random.default_rng(0), n, 200))
+    results = learn_criteria(data, [ScoreConfig(criterion=c)
+                                    for c in CRITERIA])
+    totals = [(res.total_score, res.per_variable) for res in results]
+    assert all(total.hex() == float(sum(per)).hex() for total, per in totals)
+    assert any(total != float(np.sum(per)) for total, per in totals)
+
+
 def test_kept_plans_stay_within_their_budget():
     rng = np.random.default_rng(9)
     cfg = ScoreConfig(criterion="qnml")
@@ -801,6 +869,17 @@ def _reference_sinks(best_score):
     return best, sink
 
 
+def _picks(found, count, n):
+    """A search's (tables, n) arrays of sinks, parent masks and scores, as
+    per table its (sink, mask, score) picks in backtracking order."""
+    sinks, masks, scores = found
+    assert sinks.shape == masks.shape == scores.shape == (count, n)
+    assert sinks.dtype.kind == masks.dtype.kind == "i"
+    assert scores.dtype == np.float64
+    return [list(zip(*rows)) for rows in zip(sinks.tolist(), masks.tolist(),
+                                              scores.tolist())]
+
+
 @pytest.mark.parametrize("ties", [False, True])
 def test_vectorized_sweeps_match_reference_loops(ties):
     rng = np.random.default_rng(7)
@@ -830,16 +909,14 @@ def test_vectorized_sweeps_match_reference_loops(ties):
         assert np.array_equal(stacked_score[..., 1],
                               _reference_best_parents(other)[0])
         assert np.array_equal(_best_sinks(stacked_score), stacked_best)
-        # wide layers are scored in chunks; force one subset per chunk, with
-        # no plan kept, and pick parents one sink at a time
+        # wide layers are scored in chunks; force one subset per chunk, and
+        # pick parents one sink at a time
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(learner, "_PLANS", learner._PlanCache())
-            mp.setattr(learner, "_PLAN_BYTES", 0)
             mp.setattr(learner, "_GATHER_ENTRIES", 0)
             assert np.array_equal(_best_sinks(best_score), ref_best)
             assert np.array_equal(_best_sinks(stacked_score), stacked_best)
-            uncached = _search(scores[None])
-            uncached_stack = _search(stack)
+            chunked = _picks(_search(scores[None]), 1, n)
+            chunked_stack = _picks(_search(stack), 3, n)
         # the search breaks ties only while backtracking; it must pick the
         # oracles' sinks and parent sets, in the same order
         want = []
@@ -850,11 +927,12 @@ def test_vectorized_sweeps_match_reference_loops(ties):
             cm = _compress_mask(w, s)
             want.append((s, _expand_mask(int(ref_set[s, cm]), s),
                          float(ref_score[s, cm])))
-        assert _search(scores[None]) == [want]
-        assert uncached == [want]
+        assert _picks(_search(scores[None]), 1, n) == [want]
+        assert chunked == [want]
         # a stacked search picks what each table's own search picks
-        alone = _search(other[None])[0]
-        assert _search(stack) == uncached_stack == [want, alone, want]
+        alone = _picks(_search(other[None]), 1, n)[0]
+        assert _picks(_search(stack), 3, n) == chunked_stack == [want, alone,
+                                                                  want]
 
 
 def test_variable_count_guards():

@@ -166,7 +166,7 @@ def _score_tables(datasets, cfgs, max_parents: int | None) -> np.ndarray:
     """
     n = datasets[0].n_vars
     arities = tuple(datasets[0].arities)
-    cap, top, shapes, cells = _learn_shape(arities, max_parents)
+    cap, shapes, cells = _learn_shape(arities, max_parents)
     scorers = [(cfg, criterion(cfg.criterion),
                 shared_cache(cfg.regret_method)) for cfg in cfgs]
     # the groups of configs whose cell terms agree, as config indices
@@ -219,8 +219,9 @@ def _score_tables(datasets, cfgs, max_parents: int | None) -> np.ndarray:
         m = len(bvars)
         low = arities[:b]
         bcells = math.prod(bdims)
-        # the prefix's leading digit is the dataset
-        joint = prefix // math.prod(arities[b:top])
+        # the prefix, over the first b variables: its leading digit is the
+        # dataset
+        joint = prefix
         if bdims:
             index = columns[bvars[:, 0] - lowest]
             for j in range(1, len(bdims)):
@@ -274,22 +275,31 @@ def _score_tables(datasets, cfgs, max_parents: int | None) -> np.ndarray:
         parent[:, :, pdest] = sums[..., plan.pcols].swapaxes(1, 2)
         penalty[:, :, :, pdest] = pens.transpose(0, 3, 1, 2, 4)
 
-    # every dataset's index over the first top variables, its leading digit
-    # the dataset, and the columns of the variables from lowest up, which
-    # sets B draw on: each dataset's rows one after another, in one array each
+    # every dataset's index over the first b variables of the first shape,
+    # its leading digit the dataset, and the columns of the variables from
+    # lowest up, which sets B draw on: each dataset's rows one after
+    # another, in one array each. The first shape's b is lowest, or it is
+    # the only shape
     lowest = min([b for b, bdims, *_ in shapes if bdims], default=n)
+    reach = shapes[0][0]
     prefix = np.empty(sum(sizes), dtype=np.int64)
     columns = np.empty((n - lowest, len(prefix)), dtype=np.int64)
-    radix = np.array([math.prod(arities[v + 1:top]) for v in range(top)],
+    radix = np.array([math.prod(arities[v + 1:reach]) for v in range(reach)],
                      dtype=np.int64)
     at = 0
     for d, data in enumerate(datasets):
         rows = slice(at, at + data.n_rows)
-        np.matmul(data.rows[:, :top], radix, out=prefix[rows])
-        prefix[rows] += d * math.prod(arities[:top])
+        np.matmul(data.rows[:, :reach], radix, out=prefix[rows])
+        prefix[rows] += d * math.prod(arities[:reach])
         columns[:, rows] = data.rows[:, lowest:].T
         at += data.n_rows
     for b, bdims, size, bvars, bmasks, offsets in shapes:
+        # the shapes come in increasing b, so each extends the prefix, in
+        # place, by the variables it adds
+        for v in range(reach, b):
+            prefix *= arities[v]
+            prefix += columns[v - lowest]
+        reach = b
         # a batch's tensor and its stacked index stay within the budget
         step = max(1, _BLOCK_CELLS // max(nd * size, at))
         plan = _block_plan(n, arities[:b], bdims, min(cap, b + len(bdims)))
@@ -330,7 +340,7 @@ def _score_tables(datasets, cfgs, max_parents: int | None) -> np.ndarray:
 
 
 def _learn_shape(arities: tuple[int, ...], max_parents: int | None):
-    """The cap and the blocks (top, shapes, cells; see _build_block_shapes)
+    """The cap and the blocks (shapes, cells; see _build_block_shapes)
     of a learn over variables of these arities. More variables than
     MAX_VARS, or a family within the cap of more cells than
     MAX_TABLE_CELLS, is a ResourceLimitError."""
@@ -413,14 +423,13 @@ _PLANS = _PlanCache()
 
 def _build_block_shapes(arities: tuple[int, ...], cap: int):
     """The blocks of a learn over variables of these arities with at most
-    cap parents: (top, shapes, cells), built on every learn, since they
-    cost less to build than the block plans they key (see _block_plan).
-    top is the widest prefix of variables whose marginal tensor fits one
-    block. Per block shape (b, the arities of B), shapes holds (b, B's
-    arities, the cells of one block's tensor, then per block B's variables
-    ascending, B's mask and the table offsets that count adds to its plan's
-    positions). cells holds the cells of every variable subset, indexed by
-    its mask.
+    cap parents: (shapes, cells), built on every learn, since they cost
+    less to build than the block plans they key (see _block_plan). Per
+    block shape (b, the arities of B), in increasing b, shapes holds (b,
+    B's arities, the cells of one block's tensor, then per block B's
+    variables ascending, B's mask and the table offsets that count adds to
+    its plan's positions). cells holds the cells of every variable subset,
+    indexed by its mask.
 
     The first block is (n, {}). A block is split on variable b - 1 into
     (b - 1, B) and (b - 1, B + {b - 1}) while its marginal tensor exceeds
@@ -442,7 +451,6 @@ def _build_block_shapes(arities: tuple[int, ...], cap: int):
         cells = np.concatenate((cells, cells * r))
         c = capped[-1]
         capped.append([1] + [c[j] + r * c[j - 1] for j in range(1, cap + 2)])
-    top = sum(w <= _BLOCK_CELLS for w in widths) - 1
     shapes = {}
     blocks = [(n, ())]
     while blocks:
@@ -460,7 +468,8 @@ def _build_block_shapes(arities: tuple[int, ...], cap: int):
             continue
         shapes.setdefault((b, bdims), []).append(bvars)
     out = []
-    for (b, bdims), group in shapes.items():
+    for (b, bdims), group in sorted(shapes.items(),
+                                    key=lambda item: item[0][0]):
         bvars = np.array(group, dtype=np.int64).reshape(len(group), -1)
         bmasks = (1 << bvars).sum(axis=1)
         # what a block's plan positions lack: a child of A sees B's bits
@@ -471,7 +480,7 @@ def _build_block_shapes(arities: tuple[int, ...], cap: int):
              bvars * half + _compress_mask(bmasks[:, None], bvars)))
         out.append((b, bdims, widths[b] * math.prod(bdims), bvars, bmasks,
                     offsets))
-    return top, tuple(out), cells
+    return tuple(out), cells
 
 
 def _marginals(joint: np.ndarray, blocks: int, low: tuple[int, ...],
@@ -832,7 +841,7 @@ def learn_datasets(datasets, cfgs, max_parents: int | None = None
                 tables = max(1, _BATCH_BYTES // (8 * n << (n - 1)))
                 # the cells of one dataset's largest block tensor
                 tensor = max(size for _, _, size, *_ in _learn_shape(
-                    arities, max_parents)[2])
+                    arities, max_parents)[1])
             elif data.arities != arities:
                 raise DataError(f"datasets of one batch must share their "
                                 f"arities: {data.arities} differs from "

@@ -9,11 +9,15 @@ local-score table counts each subset once and reuses each parent set's
 terms for every child. Every score is a natural-log quantity and decomposes
 over variables, so the network score is the sum of local terms. Parent
 configuration counts q_i always use the full arity product, never just the
-configurations observed in the data.
+configurations observed in the data. BDeu and BDq take ln Gamma from _lgam,
+a port of the Cephes lgam that scipy.special.gammaln runs, which matches it
+bit for bit; their cell terms are read from one table per Dirichlet
+parameter, their normalizers memoised per argument.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -129,16 +133,121 @@ def _qnml_penalty(totals, r, n_rows, cfg, cache):
                         n_rows)
 
 
+# Cephes lgam (Moshier, Methods and Programs for Mathematical Functions,
+# 1989), the code scipy.special.gammaln runs, for arguments x >= 0, so that
+# BDeu and BDq match gammaln bit for bit without importing scipy.special.
+# Its logs are math.log, libm's: numpy's SIMD log rounds differently (see
+# dataset._xlogx_table). Every Horner step is a multiply, then an add.
+_LGAM_A = (8.11614167470508450300e-4, -5.95061904284301438324e-4,
+           7.93650340457716943945e-4, -2.77777777730099687205e-3,
+           8.33333333333331927722e-2)
+_LGAM_B = (-1.37825152569120859100e3, -3.88016315134637840924e4,
+           -3.31612992738871184744e5, -1.16237097492762307383e6,
+           -1.72173700820839662146e6, -8.53555664245765465627e5)
+# the denominator's leading coefficient, 1, is implied
+_LGAM_C = (-3.51815701436523470549e2, -1.70642106651881159223e4,
+           -2.20528590553854454839e5, -1.13933444367982507207e6,
+           -2.53252307177582951285e6, -2.01889141433532773231e6)
+_LS2PI = 0.91893853320467274178  # ln sqrt(2 pi)
+
+
+def _lgam_small(x: float) -> float:
+    """lgam of 0 <= x < 13: x shifted into [2, 3) by the recurrence, then a
+    rational function; x itself if it is not finite."""
+    if not math.isfinite(x):
+        return x
+    z, p, u = 1.0, 0.0, x
+    while u >= 3.0:
+        p -= 1.0
+        u = x + p
+        z *= u
+    while u < 2.0:
+        if u == 0.0:
+            return math.inf
+        z /= u
+        p += 1.0
+        u = x + p
+    if u == 2.0:
+        return math.log(z)
+    x += p - 2.0
+    num, den = _LGAM_B[0], x + _LGAM_C[0]
+    for b in _LGAM_B[1:]:
+        num = num * x + b
+    for c in _LGAM_C[1:]:
+        den = den * x + c
+    return math.log(z) + x * num / den
+
+
+@np.errstate(over="ignore")
+def _lgam(x) -> np.ndarray:
+    """ln Gamma of every entry of x >= 0, as scipy.special.gammaln gives it:
+    Stirling's series from 13 up, one entry at a time below (at most 13
+    entries of a rise table, see _rise_table) and where x is not finite."""
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty(x.shape)
+    small = ~((x >= 13.0) & (x < math.inf))
+    out[small] = [_lgam_small(v) for v in x[small].tolist()]
+    big = x[~small]
+    log = np.fromiter(map(math.log, big.tolist()), np.float64, len(big))
+    q = (big - 0.5) * log - big + _LS2PI
+    p = 1.0 / (big * big)
+    series = _LGAM_A[0]
+    for a in _LGAM_A[1:]:
+        series = series * p + a
+    # from 1000 up a shorter series, and from 10^8 up none
+    short = (7.9365079365079365079365e-4 * p
+             - 2.7777777777777777777778e-3) * p + 0.0833333333333333333333
+    out[~small] = np.where(big > 1.0e8, q, q + np.where(
+        big >= 1000.0, short, series) / big)
+    return out
+
+
+# per Dirichlet parameter a, lgam(a + k) - lgam(a) at index k, grown on
+# demand and never shrunk. Entry 0 is lgam(a) - lgam(a): 0 while lgam(a) is
+# finite, nan where it overflows at a tiny a, so that the score is reported
+# as not finite
+_RISE_TABLES: dict[float, np.ndarray] = {}
+
+
+def _rise_table(a: float, top: int) -> np.ndarray:
+    """The rise table of a, first grown to cover 0..top if it falls short."""
+    table = _RISE_TABLES.get(a, np.empty(0))
+    if top >= len(table):
+        # a + k is the float of the same sum as a + counts
+        grown = _lgam(a + np.arange(len(table), top + 1)) - _lgam(a)
+        _RISE_TABLES[a] = table = np.concatenate((table, grown))
+    return table
+
+
+def _rises(a, counts, index) -> np.ndarray:
+    """lgam(a[index] + counts) - lgam(a[index]) elementwise, index (into
+    the Dirichlet parameters a) broadcasting against the integer counts:
+    one take from the tables of a, each bound by the largest count its a
+    meets."""
+    index = np.asarray(index)
+    # the largest count of every a: the largest over the axes that index
+    # broadcasts along, folded by index
+    lead = counts.ndim - index.ndim
+    axes = (*range(lead),
+            *(lead + i for i, s in enumerate(index.shape) if s == 1))
+    peak = counts.max(axis=axes, keepdims=True, initial=0)
+    top = np.zeros(len(a), dtype=np.int64)
+    np.maximum.at(top, np.broadcast_to(index, peak.shape).ravel(),
+                  peak.ravel())
+    tables = [_rise_table(x, k)[:k + 1]
+              for x, k in zip(a.tolist(), top.tolist())]
+    if len(tables) == 1:
+        return tables[0][counts]
+    starts = np.cumsum([0] + [len(t) for t in tables[:-1]])
+    return np.concatenate(tables)[starts[index] + counts]
+
+
 def _bdeu_cells(counts, cells, n_rows, cfg):
     """BDeu with equivalent sample size cfg.bdeu_alpha: the a_jk = alpha /
-    (q r) cell term; unobserved cells contribute exactly 0. gammaln(a_jk)
-    is evaluated once per distinct cell count."""
-    # scipy's gammaln, not math.lgamma: the two round differently, and the
-    # pinned scores depend on its rounding
-    from scipy.special import gammaln
+    (q r) cell term, lgam(a_jk + N_jk) - lgam(a_jk). An unobserved cell
+    contributes exactly 0 while lgam(a_jk) is finite."""
     sizes, index = cells if isinstance(cells, tuple) else ([cells], 0)
-    a_jk = cfg.bdeu_alpha / np.asarray(sizes)
-    return gammaln(a_jk[index] + counts) - gammaln(a_jk)[index]
+    return _rises(cfg.bdeu_alpha / np.asarray(sizes), counts, index)
 
 
 def _no_penalty(totals, r, n_rows, cfg, cache):
@@ -153,21 +262,32 @@ def _bdeu_join(cell_sum, term_sum, q, penalty, n_rows, cfg):
 
 def _bdq_cells(counts, cells, n_rows, cfg):
     """BDq: one symmetric Dirichlet(alpha) cell term of a collapsed
-    categorical, alpha = cfg.bdq_alpha (1/2 gives the Jeffreys prior)."""
-    from scipy.special import gammaln
-    return gammaln(cfg.bdq_alpha + counts) - gammaln(cfg.bdq_alpha)
+    categorical, alpha = cfg.bdq_alpha (1/2 gives the Jeffreys prior),
+    lgam(alpha + N_k) - lgam(alpha). An unobserved cell contributes exactly
+    0 while lgam(alpha) is finite."""
+    return _rises(np.array([cfg.bdq_alpha]), counts, 0)
 
 
 def _bdq_norm(m, n_rows, alpha: float):
     """The normalizing term of a collapsed marginal over m cells of n_rows
-    rows, elementwise over arrays of either."""
-    from scipy.special import gammaln
-    return gammaln(m * alpha) - gammaln(m * alpha + n_rows)
+    rows, lgam(m alpha) - lgam(m alpha + n_rows), elementwise over arrays of
+    either: evaluated once per distinct pair and memoised."""
+    ms, ns = np.unique(m), np.unique(n_rows)
+    grid = np.array([[_norm(ma, k) for k in ns.tolist()]
+                     for ma in (ms * alpha).tolist()])
+    return grid[np.searchsorted(ms, m), np.searchsorted(ns, n_rows)]
+
+
+@functools.cache
+def _norm(ma: float, n_rows: int) -> float:
+    """lgam(ma) - lgam(ma + n_rows) of one m alpha and row count."""
+    return float(_lgam(ma) - _lgam(ma + n_rows))
 
 
 def _bdq_penalty(totals, r, n_rows, cfg, cache):
     """The normalizing term of the collapsed family over q r cells."""
-    return _bdq_norm(totals.shape[-1] * r, n_rows, cfg.bdq_alpha)
+    ma = totals.shape[-1] * r * cfg.bdq_alpha
+    return _per_dataset(lambda n: _norm(ma, n), n_rows)
 
 
 def _bdq_join(cell_sum, term_sum, q, penalty, n_rows, cfg):

@@ -220,7 +220,7 @@ def test_mixed_arity_table_equals_per_family_scores():
                               rows[:, j - 1] % arities[j])
     data = Dataset(tuple(f"V{i}" for i in range(9)), arities, rows)
     shapes = {cap: {(b, len(bdims)) for b, bdims, *_ in
-                    learner._learn_shape(arities, cap)[2]}
+                    learner._learn_shape(arities, cap)[1]}
               for cap in (None, 2)}
     assert shapes[None] == {(7, 2), (7, 1), (8, 0)}
     assert (0, 3) in shapes[2]

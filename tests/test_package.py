@@ -60,6 +60,11 @@ data = bnsl.load_dataset(csv)
 bnsl.learn_datasets((bnsl.Dataset(data.names, data.arities, data.rows[:k])
                      for k in (50, 1, 500)), loglik)
 seen["learn_datasets bic fnml qnml"] = [0, "scipy" in sys.modules]
+dirichlet = [bnsl.ScoreConfig(criterion=c, **{f"{c}_alpha": a})
+             for c in ("bdeu", "bdq") for a in (1.0, 0.5, 7.3)]
+bnsl.learn_datasets((bnsl.Dataset(data.names, data.arities, data.rows[:k])
+                     for k in (50, 1, 500)), dirichlet)
+seen["learn_datasets bdeu bdq"] = [0, "scipy" in sys.modules]
 learn = ["learn", "--data", csv, "--criterion"]
 runs = {"learn bic": learn + ["bic"], "learn fnml": learn + ["fnml"],
         "learn qnml": learn + ["qnml"],
@@ -78,13 +83,13 @@ print(json.dumps(seen))
 
 def test_default_learn_path_does_not_load_scipy():
     # scipy.special is most of the import time of a one-shot `bnsl learn`;
-    # only bdeu, bdq, exact regret and the brute-force oracles need it, so
-    # neither a learn nor a batch of the N ln N criteria, on one dataset or
-    # several, loads it
+    # only exact regret and the brute-force oracles need it, so no learn
+    # under any criterion with the default regret, nor a batch of configs
+    # on one dataset or several, loads it
     proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE],
                           capture_output=True, text=True, check=True)
     seen = json.loads(proc.stdout.splitlines()[-1])
     assert {name: code for name, (code, _) in seen.items()} == dict.fromkeys(
         seen, 0)
     scipy_loaded = [name for name, (_, loaded) in seen.items() if loaded]
-    assert scipy_loaded == ["learn bdeu", "learn bdq", "learn fnml exact"]
+    assert scipy_loaded == ["learn fnml exact"]

@@ -5,6 +5,7 @@ defining formulas (collections.Counter counting, direct lgamma sums), so a
 shared bug in the library's vectorized path cannot hide.
 """
 
+import functools
 import math
 from collections import Counter
 
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import gammaln
 
+from bnsl import scores
 from bnsl.dataset import Dataset, contingency, counts_loglik
 from bnsl.errors import DataError
 from bnsl.regret import METHODS, RegretCache, regret_exact
@@ -172,6 +174,70 @@ def test_bdq_hand_value():
 
     assert got == pytest.approx(collapsed((0, 1), 4) - collapsed((1,), 2),
                                 abs=1e-12)
+
+
+def _same(a, b):
+    """Equal bit for bit, nan included."""
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64),
+                                                 b.view(np.int64))
+
+
+def test_lgam_port_is_bit_identical_to_gammaln(monkeypatch):
+    # the Cephes port replaced scipy's gammaln in bdeu and bdq; the scores,
+    # and so the learned networks, depend on every bit of it
+    rng = np.random.default_rng(19)
+    ulps = [np.nextafter(x, d) for x in (13.0, 1000.0, 1e8) for d in (0, 2e8)]
+    edges = [5e-324, 1e-310, 0.0, 13.0, 1000.0, 1e8, *ulps, 2.556348e305,
+             2.6e305, math.inf, 2.0, 3.0, 1.0, 0.5]
+    draws = [rng.uniform(1e-6, 13, 20000), rng.uniform(13, 2000, 20000),
+             rng.uniform(2000, 2e8, 2000),
+             np.exp(rng.uniform(math.log(1e-300), math.log(1e305), 20000))]
+    x = np.concatenate([edges, *draws, np.arange(1, 31) / 2 + 3000])
+    with np.errstate(all="ignore"):
+        assert _same(scores._lgam(x), gammaln(x))
+        assert scores._lgam(1e-310) == scores._lgam(0.0) == math.inf
+    # every rise table grows from empty, small maxima first, so it grows
+    # several times; 60 last reads a table grown far past it
+    monkeypatch.setattr(scores, "_RISE_TABLES", {})
+    monkeypatch.setattr(scores, "_norm",
+                        functools.cache(scores._norm.__wrapped__))
+    # cell counts of families of arities 2-4
+    sizes = np.array(sorted({math.prod(rng.integers(2, 5, k))
+                             for k in range(1, 6) for _ in range(4)}))
+    largest = {}
+    for top in (1, 3, 12, 40, 700, 3000, 60):
+        for alpha in (1.0, 0.5, 1e-3, 7.3):
+            a = alpha / sizes
+            index = rng.integers(0, len(sizes), (7, 1))
+            counts = rng.integers(0, top + 1, (3, 7, 5))
+            bdeu = ScoreConfig(criterion="bdeu", bdeu_alpha=alpha)
+            got = criterion("bdeu").cell(counts, (sizes, index), top, bdeu)
+            assert _same(got, gammaln(a[index] + counts) - gammaln(a)[index])
+            bdq = ScoreConfig(criterion="bdq", bdq_alpha=alpha)
+            got = criterion("bdq").cell(counts, 1, top, bdq)
+            assert _same(got, gammaln(alpha + counts) - gammaln(alpha))
+            # each table is bound by the largest count its a has met
+            for j, x in enumerate(a.tolist()):
+                seen = counts[:, index[:, 0] == j].max(initial=0)
+                largest[x] = max(largest.get(x, 0), int(seen))
+            largest[alpha] = max(largest.get(alpha, 0), int(counts.max()))
+            m = rng.integers(1, 300, 6)
+            n_rows = rng.integers(0, 2 * top + 1, (4, 1))
+            assert _same(scores._bdq_norm(m, n_rows, alpha),
+                         gammaln(m * alpha) - gammaln(m * alpha + n_rows))
+            assert _same(scores._bdq_norm(5, top, alpha),
+                         gammaln(5 * alpha) - gammaln(5 * alpha + top))
+    assert {a: len(t) - 1 for a, t in scores._RISE_TABLES.items()} == largest
+    for a, table in scores._RISE_TABLES.items():
+        k = np.arange(len(table))
+        assert _same(table, gammaln(a + k) - gammaln(a))
+    # at a tiny a, lgam(a) overflows: an unobserved cell reads nan, not 0
+    with np.errstate(invalid="ignore"):
+        tiny = criterion("bdq").cell(np.array([0, 2]), 2, 2,
+                                     ScoreConfig(criterion="bdq",
+                                                 bdq_alpha=1e-310))
+    assert np.isnan(tiny[0]) and tiny[1] == -math.inf
 
 
 def test_decomposability(rng):

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .dataset import Dataset, config_indices, load_dataset
+from .dataset import Dataset, config_indices, distinct, load_dataset
 from .errors import DataError, integer
 from .learner import learn_datasets
 from .model import fit_bpp, fit_ml, fit_snml, load_network, rule_cpts, sample
@@ -243,7 +243,7 @@ def _mean_test_logliks(rows, arities, n_trains, graphs, rules) -> list:
     fitted by the rule rules[c] on rows[:n], n = n_trains[f]: bit for bit
     mean_test_loglik of that rule's fit_*, but each distinct family is
     counted once for every train prefix."""
-    ends = np.unique(n_trains)
+    ends = distinct(n_trains)
     # row t is in every prefix from the first one that ends after t
     first = np.searchsorted(ends, np.arange(ends[-1]), side="right")
     sums = [[np.zeros(len(rows) - n) for _ in rules] for n in n_trains]
@@ -351,7 +351,10 @@ def run_experiment(spec: ExperimentSpec, out_dir: str) -> dict:
     """Run one experiment and write ``<kind>.csv`` plus ``manifest.json``.
 
     Returns the manifest dictionary. The manifest wall time is the only
-    output field that varies between reruns of the same spec.
+    output field that varies between reruns of the same spec. The manifest
+    lists the versions of bnsl, Python and numpy, and of scipy for a
+    regret table alone: the other kinds run no scipy code and do not load
+    it.
     """
     start = time.perf_counter()
     rows = RUNNERS[spec.kind](spec)
@@ -362,18 +365,18 @@ def run_experiment(spec: ExperimentSpec, out_dir: str) -> dict:
     with open(csv_path, "w", encoding="utf-8", newline="") as fh:
         csv.writer(fh, lineterminator="\n").writerows(rows)
 
-    # imported here, not at the top, so that `import bnsl` does not load scipy
-    import scipy
+    versions = {"bnsl": __version__, "python": platform.python_version(),
+                "numpy": np.__version__}
+    if spec.kind == "regret-table":
+        # the one kind that runs scipy code (regret_exact), and so the one
+        # that loads scipy and records its version
+        import scipy
+        versions["scipy"] = scipy.__version__
     manifest = {
         "kind": spec.kind,
         "spec": spec.to_json_dict(),
         "rows": len(rows) - 1,
-        "versions": {
-            "bnsl": __version__,
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "scipy": scipy.__version__,
-        },
+        "versions": versions,
         "wallTimeSeconds": round(time.perf_counter() - start, 3),
     }
     with open(out / "manifest.json", "w", encoding="utf-8") as fh:

@@ -45,7 +45,8 @@ class Dataset:
         if any(a < 1 for a in self.arities):
             raise DataError("arities must be at least 1")
         if rows.size:
-            if rows.min() < 0 or (rows >= np.asarray(self.arities)).any():
+            # per-column maxima, not an N x n comparison
+            if rows.min() < 0 or (rows.max(axis=0) >= self.arities).any():
                 raise DataError("cell value out of range for its column arity")
         rows.setflags(write=False)
 
@@ -163,6 +164,16 @@ def load_datasets_shared(paths, declared_arities=None) -> list[Dataset]:
                 codes[:, j] = [lookups[j][v] for v in cols[j]]
         out.append(Dataset(tuple(names), tuple(arities), codes))
     return out
+
+
+def distinct(values) -> np.ndarray:
+    """The distinct values of an array, ascending, as np.unique gives them
+    but by a sort and a comparison of neighbours: numpy 2.4's np.unique
+    imports numpy.ma, which no learn needs otherwise."""
+    values = np.sort(values, axis=None)
+    first = np.ones(len(values), dtype=bool)
+    np.not_equal(values[1:], values[:-1], out=first[1:])
+    return values[first]
 
 
 def config_index(values, parents, arities) -> int:

@@ -32,7 +32,9 @@ each result equals its own learn bit for bit. The datasets are learned in
 runs whose tables fit _BATCH_BYTES, and whose rows or block tensors, n
 times over, fit _BLOCK_CELLS, or one dataset a run; beyond that a
 dataset's configs are learned in runs, so large tables do not multiply the
-peak memory by the number of configs.
+peak memory by the number of configs. A run holds count indexes, not
+rows: each dataset is reduced as it is drawn to its prefix index over the
+first block's variables and the columns that sets B read (see _index).
 
 The index work of a learn depends on its shape alone (n, the arities and
 the cap), not on the data: where each family's cells sit in a block, where
@@ -101,9 +103,10 @@ def compute_local_scores(data: Dataset, cfg: ScoreConfig,
     learn_datasets builds for one dataset and config (see _score_tables).
     Each entry equals local_score of its family bit for bit."""
     cfgs, max_parents = _checked((cfg,), max_parents)
-    return LocalScoreTable(data.n_vars,
-                           _score_tables((data,), cfgs, max_parents)[0, 0],
-                           max_parents)
+    shape = _learn_shape(data.arities, max_parents)
+    return LocalScoreTable(
+        data.n_vars, _score_tables((_index(data, shape),), cfgs, shape)[0, 0],
+        max_parents)
 
 
 def _checked(cfgs, max_parents):
@@ -125,11 +128,11 @@ def _checked(cfgs, max_parents):
 
 # a non-finite entry is a DataError, so the operations that make one stay quiet
 @np.errstate(invalid="ignore")
-def _score_tables(datasets, cfgs, max_parents: int | None) -> np.ndarray:
+def _score_tables(indexed, cfgs, shape: _LearnShape) -> np.ndarray:
     """The local-score table of every config and dataset (a sequence of
-    datasets of one arity tuple), stacked as one read-only (configs,
-    datasets, n, 2^(n-1)) array, counting each block of variable subsets
-    once for all of them.
+    datasets of the shape's arities, each as its _index), stacked as one
+    read-only (configs, datasets, n, 2^(n-1)) array, counting each block of
+    variable subsets once for all of them.
 
     A family {c} + P has the cells of the subset T = P + {c}, and every
     criterion's other terms depend on P and the child arity alone (see
@@ -164,9 +167,9 @@ def _score_tables(datasets, cfgs, max_parents: int | None) -> np.ndarray:
     config raise alone; of several, the first dataset's, and of its configs
     the first one's.
     """
-    n = datasets[0].n_vars
-    arities = tuple(datasets[0].arities)
-    cap, shapes, cells = _learn_shape(arities, max_parents)
+    arities, cap, shapes, cells = (shape.arities, shape.cap, shape.blocks,
+                                   shape.cells)
+    n = len(arities)
     scorers = [(cfg, criterion(cfg.criterion),
                 shared_cache(cfg.regret_method)) for cfg in cfgs]
     # the groups of configs whose cell terms agree, as config indices
@@ -176,8 +179,8 @@ def _score_tables(datasets, cfgs, max_parents: int | None) -> np.ndarray:
                                                              crit.cell_reads)
         shared.setdefault((crit.cell, reads), []).append(i)
     groups = list(shared.values())
-    nd = len(datasets)
-    sizes = [data.n_rows for data in datasets]
+    nd = len(indexed)
+    sizes = [record.n_rows for record in indexed]
     # per dataset, against the (blocks, datasets, parent sets) penalties
     n_rows = np.array(sizes)[:, None]
     child_arities = sorted(set(arities))
@@ -275,24 +278,17 @@ def _score_tables(datasets, cfgs, max_parents: int | None) -> np.ndarray:
         parent[:, :, pdest] = sums[..., plan.pcols].swapaxes(1, 2)
         penalty[:, :, :, pdest] = pens.transpose(0, 3, 1, 2, 4)
 
-    # every dataset's index over the first b variables of the first shape,
-    # its leading digit the dataset, and the columns of the variables from
-    # lowest up, which sets B draw on: each dataset's rows one after
-    # another, in one array each. The first shape's b is lowest, or it is
-    # the only shape
-    lowest = min([b for b, bdims, *_ in shapes if bdims], default=n)
-    reach = shapes[0][0]
+    # the run's prefix index, its leading digit the dataset, and the columns
+    # from lowest up, which sets B draw on: each dataset's rows one after
+    # another, in one array each
+    lowest, reach = shape.lowest, shape.reach
     prefix = np.empty(sum(sizes), dtype=np.int64)
-    columns = np.empty((n - lowest, len(prefix)), dtype=np.int64)
-    radix = np.array([math.prod(arities[v + 1:reach]) for v in range(reach)],
-                     dtype=np.int64)
     at = 0
-    for d, data in enumerate(datasets):
-        rows = slice(at, at + data.n_rows)
-        np.matmul(data.rows[:, :reach], radix, out=prefix[rows])
-        prefix[rows] += d * math.prod(arities[:reach])
-        columns[:, rows] = data.rows[:, lowest:].T
-        at += data.n_rows
+    for d, record in enumerate(indexed):
+        np.add(record.prefix, d * math.prod(arities[:reach]),
+               out=prefix[at:at + record.n_rows])
+        at += record.n_rows
+    columns = np.concatenate([record.columns for record in indexed], axis=1)
     for b, bdims, size, bvars, bmasks, offsets in shapes:
         # the shapes come in increasing b, so each extends the prefix, in
         # place, by the variables it adds
@@ -328,7 +324,7 @@ def _score_tables(datasets, cfgs, max_parents: int | None) -> np.ndarray:
                     for d in np.flatnonzero(bad.any(axis=(1, 2))).tolist():
                         v, j = np.argwhere(bad[d])[0]
                         errors.setdefault((d, i), not_finite(
-                            cfg, datasets[d].names[c + v], row[d, v, j]))
+                            cfg, indexed[d].names[c + v], row[d, v, j]))
                 if admissible is None:
                     tables[i, :, rows] = row
                 else:
@@ -339,10 +335,36 @@ def _score_tables(datasets, cfgs, max_parents: int | None) -> np.ndarray:
     return tables
 
 
-def _learn_shape(arities: tuple[int, ...], max_parents: int | None):
-    """The cap and the blocks (shapes, cells; see _build_block_shapes)
-    of a learn over variables of these arities. More variables than
-    MAX_VARS, or a family within the cap of more cells than
+class _LearnShape(NamedTuple):
+    """The index work of a learn that its arities and cap fix (see
+    _learn_shape)."""
+
+    cap: int
+    # the block shapes, and the cells of every subset (see
+    # _build_block_shapes)
+    blocks: tuple
+    cells: np.ndarray
+    arities: tuple
+    # the first block shape's b, the variables a prefix index covers
+    reach: int
+    # the least b of a block shape with a set B, or n: sets B draw on the
+    # columns from lowest up
+    lowest: int
+
+
+class _Indexed(NamedTuple):
+    """What _score_tables reads of a dataset (see _index)."""
+
+    prefix: np.ndarray
+    columns: np.ndarray
+    n_rows: int
+    names: tuple
+
+
+def _learn_shape(arities: tuple[int, ...], max_parents: int | None
+                 ) -> _LearnShape:
+    """The shape of a learn over variables of these arities. More
+    variables than MAX_VARS, or a family within the cap of more cells than
     MAX_TABLE_CELLS, is a ResourceLimitError."""
     n = len(arities)
     if n > MAX_VARS:
@@ -354,7 +376,25 @@ def _learn_shape(arities: tuple[int, ...], max_parents: int | None):
         raise ResourceLimitError(
             f"a family with {largest} cells exceeds the dense-table guard of "
             f"{MAX_TABLE_CELLS}")
-    return cap, *_build_block_shapes(arities, cap)
+    blocks, cells = _build_block_shapes(arities, cap)
+    # the block shapes come in increasing b, so the first one's b is
+    # lowest, or it is the only shape
+    lowest = min([b for b, bdims, *_ in blocks if bdims], default=n)
+    return _LearnShape(cap, blocks, cells, tuple(arities), blocks[0][0],
+                       lowest)
+
+
+def _index(data: Dataset, shape: _LearnShape) -> _Indexed:
+    """What _score_tables reads of a dataset of the shape's arities: each
+    row's mixed-radix index over the first reach variables, the columns
+    from lowest up as rows of one array, the row count and the names. The
+    arrays are copies, so the record holds none of the dataset's rows."""
+    arities, reach = shape.arities, shape.reach
+    radix = np.array([math.prod(arities[v + 1:reach]) for v in range(reach)],
+                     dtype=np.int64)
+    return _Indexed(data.rows[:, :reach] @ radix,
+                    data.rows[:, shape.lowest:].T.copy(), data.n_rows,
+                    data.names)
 
 
 # a block's marginal tensor holds at most this many cells, and a run of
@@ -813,66 +853,73 @@ def learn_datasets(datasets, cfgs, max_parents: int | None = None
     exceed that is learned in runs of configs, as learn_criteria learns
     large tables.
 
-    datasets may be any iterable. It is consumed one run at a time, so a
-    generator holds one run's datasets, and the next one drawn, at most. A
-    dataset whose arities differ from the first's is a DataError, raised
-    before its run is learned, as is an empty iterable. Otherwise the error
-    raised is the one learning each dataset alone, in order, raises first:
-    the first failing dataset's, and of its configs the first failing
-    one's. Every result's elapsed is the call's wall time less the time
-    spent drawing datasets.
+    datasets may be any iterable. It is consumed one run at a time, and
+    each dataset is reduced to the count indexes its learn reads (see
+    _index) as it is drawn, and then dropped: from a generator, a learn
+    holds one run's count indexes and the one dataset it is indexing, at
+    most. A dataset whose arities differ from the first's is a DataError,
+    raised before its run is learned, as is an empty iterable. Otherwise
+    the error raised is the one learning each dataset alone, in order,
+    raises first: the first failing dataset's, and of its configs the
+    first failing one's. Every result's elapsed is the call's wall time
+    less the time spent drawing datasets.
     """
     start = time.perf_counter()
     cfgs, max_parents = _checked(cfgs, max_parents)
     drawing = 0.0
     networks = []
-    run, load, arities = [], 0, None
+    run, load, shape = [], 0, None
     source = iter(datasets)
     while True:
         drawn = time.perf_counter()
         data = next(source, None)
         drawing += time.perf_counter() - drawn
-        if data is not None:
-            if not isinstance(data, Dataset):
-                raise DataError(f"a dataset must be a Dataset, got {data!r}")
-            if arities is None:
-                arities, n = data.arities, data.n_vars
-                # the tables that fit _BATCH_BYTES, or one
-                tables = max(1, _BATCH_BYTES // (8 * n << (n - 1)))
-                # the cells of one dataset's largest block tensor
-                tensor = max(size for _, _, size, *_ in _learn_shape(
-                    arities, max_parents)[1])
-            elif data.arities != arities:
-                raise DataError(f"datasets of one batch must share their "
-                                f"arities: {data.arities} differs from "
-                                f"{arities}")
-        if run and (data is None or (len(run) + 1) * len(cfgs) > tables
-                    or load + n * max(data.n_rows, tensor) > _BLOCK_CELLS):
-            networks += _learn_run(run, cfgs, max_parents, tables)
-            run, load = [], 0
         if data is None:
             break
-        run.append(data)
+        if not isinstance(data, Dataset):
+            raise DataError(f"a dataset must be a Dataset, got {data!r}")
+        if shape is None:
+            shape = _learn_shape(data.arities, max_parents)
+            n = data.n_vars
+            # the tables that fit _BATCH_BYTES, or one
+            tables = max(1, _BATCH_BYTES // (8 * n << (n - 1)))
+            # the cells of one dataset's largest block tensor
+            tensor = max(size for _, _, size, *_ in shape.blocks)
+        elif data.arities != shape.arities:
+            raise DataError(f"datasets of one batch must share their "
+                            f"arities: {data.arities} differs from "
+                            f"{shape.arities}")
         # its rows, and the sums' gathers, up to n per tensor cell
-        load += n * max(data.n_rows, tensor)
-    if not networks:
+        cost = n * max(data.n_rows, tensor)
+        record = _index(data, shape)
+        # the run holds the record alone, so the dataset is freed before
+        # the next one is drawn
+        del data
+        if run and ((len(run) + 1) * len(cfgs) > tables
+                    or load + cost > _BLOCK_CELLS):
+            networks += _learn_run(run, cfgs, shape, tables)
+            run, load = [], 0
+        run.append(record)
+        load += cost
+    if not run:
         raise DataError("no datasets to learn")
+    networks += _learn_run(run, cfgs, shape, tables)
     elapsed = time.perf_counter() - start - drawing
     return tuple(tuple(LearnResult(*network, elapsed) for network in learned)
                  for learned in networks)
 
 
-def _learn_run(run, cfgs, max_parents, tables):
-    """Per dataset of a run, per config, (network, total, per-variable
-    scores), the configs scored in runs of at most `tables` tables. Each
-    distinct network of the run (parent sets and names) is built once,
-    through the public DagStructure constructor, so equal networks are one
-    object."""
+def _learn_run(run, cfgs, shape, tables):
+    """Per dataset of a run (its _index records), per config, (network,
+    total, per-variable scores), the configs scored in runs of at most
+    `tables` tables. Each distinct network of the run (parent sets and
+    names) is built once, through the public DagStructure constructor, so
+    equal networks are one object."""
     networks = [[None] * len(cfgs) for _ in run]
     built = {}
     step = max(1, tables // len(run))
     for first in range(0, len(cfgs), step):
-        stack = _score_tables(run, cfgs[first:first + step], max_parents)
+        stack = _score_tables(run, cfgs[first:first + step], shape)
         sinks, masks, scores = _search(stack.reshape(-1, *stack.shape[2:]))
         del stack
         # each table's picks by variable

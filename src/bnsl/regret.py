@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .dataset import distinct
 from .errors import DataError, ResourceLimitError
 
 METHODS = ("exact", "szp-small-r", "szp-all-range")
@@ -165,7 +166,7 @@ class RegretCache:
         out = known[counts]
         missing = np.isnan(out)
         if missing.any():
-            for n in np.unique(counts[missing]).tolist():
+            for n in distinct(counts[missing]).tolist():
                 known[n] = self.get(n, r)
             out = known[counts]
         return out

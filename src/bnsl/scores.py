@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset, _xlogx_table, contingency
+from .dataset import Dataset, _xlogx_table, contingency, distinct
 from .errors import DataError, real
 from .regret import RegretCache, canonical_method, shared_cache
 from .structure import DagStructure
@@ -272,7 +272,7 @@ def _bdq_norm(m, n_rows, alpha: float):
     """The normalizing term of a collapsed marginal over m cells of n_rows
     rows, lgam(m alpha) - lgam(m alpha + n_rows), elementwise over arrays of
     either: evaluated once per distinct pair and memoised."""
-    ms, ns = np.unique(m), np.unique(n_rows)
+    ms, ns = distinct(m), distinct(n_rows)
     grid = np.array([[_norm(ma, k) for k in ns.tolist()]
                      for ma in (ms * alpha).tolist()])
     return grid[np.searchsorted(ms, m), np.searchsorted(ns, n_rows)]

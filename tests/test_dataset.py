@@ -7,8 +7,8 @@ from scipy.special import xlogy
 
 from bnsl import dataset
 from bnsl.dataset import (Dataset, config_index, config_indices, contingency,
-                          counts_loglik, empirical_cond_entropy, load_dataset,
-                          load_datasets_shared, write_dataset)
+                          counts_loglik, distinct, empirical_cond_entropy,
+                          load_dataset, load_datasets_shared, write_dataset)
 from bnsl.errors import DataError, ResourceLimitError
 
 from conftest import random_dataset
@@ -114,6 +114,27 @@ def test_dataset_validation():
         Dataset(("A",), (2,), np.array([[2]], dtype=np.int64))
     with pytest.raises(DataError):
         Dataset(("A",), (0,), np.zeros((0, 1), dtype=np.int64))
+    # each column's values lie in 0 .. arity - 1, the last column's too
+    names, arities = ("A", "B", "C"), (2, 3, 4)
+    top = np.array([[0, 0, 0], [1, 2, 3], [1, 0, 2]], dtype=np.int64)
+    assert Dataset(names, arities, top).rows.max(axis=0).tolist() == [1, 2, 3]
+    for row, col, value in ((2, 0, -1), (0, 2, -1), (1, 2, 4), (2, 2, 9)):
+        bad = top.copy()
+        bad[row, col] = value
+        with pytest.raises(DataError,
+                           match="cell value out of range for its column"):
+            Dataset(names, arities, bad)
+
+
+@given(st.lists(st.integers(-3, 6), max_size=30), st.integers(1, 3))
+def test_distinct_equals_np_unique(values, width):
+    # np.unique is the reference; distinct flattens any shape as it does
+    array = np.array(values[:len(values) // width * width], dtype=np.int64)
+    for shaped in (array, array.reshape(-1, width)):
+        got, want = distinct(shaped), np.unique(shaped)
+        assert got.dtype == want.dtype and got.tolist() == want.tolist()
+    assert distinct(7).tolist() == [7]
+    assert distinct([5, 1, 5]).tolist() == [1, 5]
 
 
 def test_rows_are_read_only(rng):

@@ -2,6 +2,7 @@ import dataclasses
 import math
 import time
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -520,15 +521,23 @@ def test_batched_learn_equals_each_config_alone(case, batch_bytes,
     # table, bit for bit
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(learner, "_BLOCK_CELLS", block_cells)
-        tables = learner._score_tables(datasets, cfgs, max_parents)
+        tables = _score_tables(datasets, cfgs, max_parents)
     n = datasets[0].n_vars
     assert tables.shape == (len(cfgs), len(datasets), n, 1 << (n - 1))
     for d, data in enumerate(datasets):
-        alone = learner._score_tables((data,), cfgs, max_parents)
+        alone = _score_tables((data,), cfgs, max_parents)
         for i, cfg in enumerate(cfgs):
             assert _same_bits(tables[i, d], alone[i, 0])
             assert _same_bits(tables[i, d],
                               _family_table(data, cfg, max_parents))
+
+
+def _score_tables(datasets, cfgs, max_parents):
+    """learner._score_tables of datasets of one arity tuple, each indexed
+    as learn_datasets indexes it."""
+    shape = learner._learn_shape(datasets[0].arities, max_parents)
+    return learner._score_tables([learner._index(data, shape)
+                                  for data in datasets], cfgs, shape)
 
 
 def _marginal_calls(mp):
@@ -785,6 +794,50 @@ def test_dataset_batch_draws_one_run_at_a_time():
     assert seen == [(2, 3), (2, 5), (1, 5)]
     assert len(learned) == 5
     assert learned[0][0].elapsed < 0.05 * 5
+
+
+def test_dataset_batch_holds_no_drawn_dataset():
+    # in runs of three datasets, 4 x 180-cell tensors within 2160 cells,
+    # each dataset is indexed as it is drawn and dropped with its rows: none
+    # is alive when the next one is drawn, and each result equals that of
+    # its dataset learned alone
+    names, arities = tuple("ABCD"), (3, 2, 4, 2)
+    sizes = (40, 25, 60, 1, 33, 50, 8)
+
+    def dataset(k):
+        rng = np.random.default_rng(k)
+        return Dataset(names, arities, rng.integers(0, arities,
+                                                    (sizes[k], 4)))
+
+    cfgs = [ScoreConfig(criterion=c) for c in CRITERIA]
+    score_tables = learner._score_tables
+    for max_parents in (None, 1):
+        refs, alive, runs = [], [], []
+
+        def datasets():
+            for k in range(len(sizes)):
+                alive.append([ref() is not None for pair in refs
+                              for ref in pair])
+                data = dataset(k)
+                refs.append((weakref.ref(data), weakref.ref(data.rows)))
+                yield data
+                del data
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(learner, "_BLOCK_CELLS", 2160)
+            mp.setattr(learner, "_score_tables",
+                       lambda run, *args: runs.append(len(run))
+                       or score_tables(run, *args))
+            learned = learn_datasets(datasets(), cfgs, max_parents)
+        assert runs == [3, 3, 1]
+        assert alive == [[False] * 2 * k for k in range(len(sizes))]
+        assert len(learned) == len(sizes)
+        for k, results in enumerate(learned):
+            alone = learn_criteria(dataset(k), cfgs, max_parents)
+            for res, want in zip(results, alone, strict=True):
+                assert res.network == want.network
+                assert _bits(res.per_variable) == _bits(want.per_variable)
+                assert _bits(res.total_score) == _bits(want.total_score)
 
 
 def test_dataset_runs_stay_within_the_cell_budget():

@@ -44,27 +44,38 @@ def test_no_unused_top_level_imports():
 
 
 # Runs each command in one fresh interpreter, in order, and records its exit
-# code and whether scipy was loaded once it returned. The commands that need
-# scipy come last, since a module stays loaded once imported.
+# code and which of numpy.ma and scipy were loaded once it returned. The
+# commands that need scipy come last, since a module stays loaded once
+# imported. Experiments write into the directory given as the argument.
 _IMPORT_PROBE = """
 import contextlib, io, json, sys
 import bnsl
-seen = {"import bnsl": [0, "scipy" in sys.modules]}
-from bnsl.bench import bundled_path
+def loaded():
+    return [name for name in ("numpy.ma", "scipy") if name in sys.modules]
+seen = {"import bnsl": [0, loaded()]}
+from bnsl.bench import ExperimentSpec, bundled_path, run_experiment
 from bnsl.cli import main
 csv, net = bundled_path("web8_n500.csv"), bundled_path("web8.json")
 loglik = [bnsl.ScoreConfig(criterion=c) for c in ("bic", "fnml", "qnml")]
 bnsl.learn_criteria(bnsl.load_dataset(csv), loglik)
-seen["learn_criteria bic fnml qnml"] = [0, "scipy" in sys.modules]
+seen["learn_criteria bic fnml qnml"] = [0, loaded()]
 data = bnsl.load_dataset(csv)
 bnsl.learn_datasets((bnsl.Dataset(data.names, data.arities, data.rows[:k])
                      for k in (50, 1, 500)), loglik)
-seen["learn_datasets bic fnml qnml"] = [0, "scipy" in sys.modules]
+seen["learn_datasets bic fnml qnml"] = [0, loaded()]
 dirichlet = [bnsl.ScoreConfig(criterion=c, **{f"{c}_alpha": a})
              for c in ("bdeu", "bdq") for a in (1.0, 0.5, 7.3)]
 bnsl.learn_datasets((bnsl.Dataset(data.names, data.arities, data.rows[:k])
                      for k in (50, 1, 500)), dirichlet)
-seen["learn_datasets bdeu bdq"] = [0, "scipy" in sys.modules]
+seen["learn_datasets bdeu bdq"] = [0, loaded()]
+small = dict(criteria=bnsl.CRITERIA, repetitions=2, seed=3)
+versions = {}
+for spec in (ExperimentSpec(kind="shd-curve", sample_sizes=(10, 100),
+                            networks=(bundled_path("chain5.json"),), **small),
+             ExperimentSpec(kind="predict-rank", train_fractions=(0.3, 0.6),
+                            datasets=(csv,), **small)):
+    versions[spec.kind] = run_experiment(spec, sys.argv[1])["versions"]
+    seen[spec.kind] = [0, loaded()]
 learn = ["learn", "--data", csv, "--criterion"]
 runs = {"learn bic": learn + ["bic"], "learn fnml": learn + ["fnml"],
         "learn qnml": learn + ["qnml"],
@@ -76,20 +87,35 @@ for name, argv in runs.items():
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
         code = main(argv)
-    seen[name] = [code, "scipy" in sys.modules]
-print(json.dumps(seen))
+    seen[name] = [code, loaded()]
+versions["regret-table"] = run_experiment(ExperimentSpec(),
+                                          sys.argv[1])["versions"]
+seen["regret-table"] = [0, loaded()]
+print(json.dumps({"seen": seen, "versions": versions}))
 """
 
 
-def test_default_learn_path_does_not_load_scipy():
+def test_default_learn_path_does_not_load_scipy(tmp_path):
     # scipy.special is most of the import time of a one-shot `bnsl learn`;
     # only exact regret and the brute-force oracles need it, so no learn
     # under any criterion with the default regret, nor a batch of configs
-    # on one dataset or several, loads it
-    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE],
+    # on one dataset or several, nor an shd-curve or predict-rank
+    # experiment under every criterion, loads it; nor do they load
+    # numpy.ma, which numpy's np.unique imports
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, str(tmp_path)],
                           capture_output=True, text=True, check=True)
-    seen = json.loads(proc.stdout.splitlines()[-1])
+    probe = json.loads(proc.stdout.splitlines()[-1])
+    seen = probe["seen"]
     assert {name: code for name, (code, _) in seen.items()} == dict.fromkeys(
         seen, 0)
-    scipy_loaded = [name for name, (_, loaded) in seen.items() if loaded]
-    assert scipy_loaded == ["learn fnml exact"]
+    scipy_loaded = [name for name, (_, loaded) in seen.items()
+                    if "scipy" in loaded]
+    assert scipy_loaded == ["learn fnml exact", "regret-table"]
+    assert [name for name, (_, loaded) in seen.items()
+            if loaded] == scipy_loaded
+    # a regret table, the one experiment that runs scipy code, lists
+    # scipy's version; the others list no scipy
+    import scipy
+    assert probe["versions"]["regret-table"]["scipy"] == scipy.__version__
+    for kind in ("shd-curve", "predict-rank"):
+        assert set(probe["versions"][kind]) == {"bnsl", "python", "numpy"}

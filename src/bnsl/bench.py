@@ -352,9 +352,8 @@ def run_experiment(spec: ExperimentSpec, out_dir: str) -> dict:
 
     Returns the manifest dictionary. The manifest wall time is the only
     output field that varies between reruns of the same spec. The manifest
-    lists the versions of bnsl, Python and numpy, and of scipy for a
-    regret table alone: the other kinds run no scipy code and do not load
-    it.
+    lists the versions of bnsl, Python and numpy, the only libraries any
+    kind runs.
     """
     start = time.perf_counter()
     rows = RUNNERS[spec.kind](spec)
@@ -365,18 +364,13 @@ def run_experiment(spec: ExperimentSpec, out_dir: str) -> dict:
     with open(csv_path, "w", encoding="utf-8", newline="") as fh:
         csv.writer(fh, lineterminator="\n").writerows(rows)
 
-    versions = {"bnsl": __version__, "python": platform.python_version(),
-                "numpy": np.__version__}
-    if spec.kind == "regret-table":
-        # the one kind that runs scipy code (regret_exact), and so the one
-        # that loads scipy and records its version
-        import scipy
-        versions["scipy"] = scipy.__version__
     manifest = {
         "kind": spec.kind,
         "spec": spec.to_json_dict(),
         "rows": len(rows) - 1,
-        "versions": versions,
+        "versions": {"bnsl": __version__,
+                     "python": platform.python_version(),
+                     "numpy": np.__version__},
         "wallTimeSeconds": round(time.perf_counter() - start, 3),
     }
     with open(out / "manifest.json", "w", encoding="utf-8") as fh:

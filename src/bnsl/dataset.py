@@ -29,7 +29,9 @@ class Dataset:
     rows: np.ndarray
 
     def __post_init__(self):
-        rows = np.ascontiguousarray(np.asarray(self.rows, dtype=np.int64))
+        # a private copy: a caller's array stays writable, and a later write
+        # to it cannot slip an out-of-range code past the checks below
+        rows = np.array(self.rows, dtype=np.int64, order="C")
         if rows.ndim != 2:
             raise DataError("rows must be a two-dimensional array")
         object.__setattr__(self, "names", tuple(self.names))

@@ -20,6 +20,7 @@ import numpy as np
 
 from .dataset import Dataset, _loglik, config_indices, contingency
 from .errors import DataError, ResourceLimitError
+from .regret import _logsumexp
 
 # brute-force NML enumerates (prod arities)^N joint datasets
 NML_BRUTEFORCE_LIMIT = 1 << 24
@@ -312,7 +313,6 @@ def _nml_log_normalizer(arities: tuple[int, ...], parents: tuple[tuple[int, ...]
     if total > NML_BRUTEFORCE_LIMIT:
         raise ResourceLimitError(
             f"{m}**{n_rows} candidate datasets exceed the enumeration guard")
-    from scipy.special import logsumexp, xlogy
     # decode every joint cell into per-variable values once
     cells = np.arange(m, dtype=np.int64)
     values = np.empty((m, n), dtype=np.int64)
@@ -349,9 +349,11 @@ def _nml_log_normalizer(arities: tuple[int, ...], parents: tuple[tuple[int, ...]
             np.add.at(pc, (rows_range, pair_ids[i][rows_cells]), 1)
             jc = np.zeros((t, parent_sizes[i]), dtype=np.int64)
             np.add.at(jc, (rows_range, parent_ids[i][rows_cells]), 1)
-            loglik += xlogy(pc, pc).sum(axis=1) - xlogy(jc, jc).sum(axis=1)
-        partials.append(logsumexp(loglik))
-    return float(logsumexp(np.asarray(partials)))
+            # x ln x with 0 ln 0 = 0
+            loglik += ((pc * np.log(np.maximum(pc, 1))).sum(axis=1)
+                       - (jc * np.log(np.maximum(jc, 1))).sum(axis=1))
+        partials.append(_logsumexp(loglik))
+    return _logsumexp(np.asarray(partials))
 
 
 def nml_bruteforce(data: Dataset, g: DagStructure) -> float:

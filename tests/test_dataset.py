@@ -143,6 +143,18 @@ def test_rows_are_read_only(rng):
         data.rows[0, 0] = 0
 
 
+def test_caller_rows_stay_writable_and_apart():
+    # the dataset keeps its own copy of a C-contiguous int64 array, so the
+    # caller may still write to it, and such a write, an out-of-range code
+    # included, does not reach the validated rows
+    rows = np.zeros((3, 2), dtype=np.int64)
+    data = Dataset(("A", "B"), (2, 2), rows)
+    rows[0, 0] = 5
+    assert rows.flags.writeable
+    assert data.rows.tolist() == [[0, 0]] * 3
+    assert not data.rows.flags.writeable
+
+
 def test_config_index_last_parent_moves_fastest():
     arities = (2, 3, 4)
     # parents (1, 2): index = v1 * 4 + v2

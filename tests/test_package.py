@@ -44,14 +44,15 @@ def test_no_unused_top_level_imports():
 
 
 # Runs each command in one fresh interpreter, in order, and records its exit
-# code and which of numpy.ma and scipy were loaded once it returned. The
-# commands that need scipy come last, since a module stays loaded once
-# imported. Experiments write into the directory given as the argument.
+# code and whether numpy.ma was loaded once it returned. scipy is blocked
+# before bnsl is imported, so any scipy import fails the command that makes
+# it. Experiments write into the directory given as the argument.
 _IMPORT_PROBE = """
 import contextlib, io, json, sys
+sys.modules["scipy"] = None
 import bnsl
 def loaded():
-    return [name for name in ("numpy.ma", "scipy") if name in sys.modules]
+    return "numpy.ma" in sys.modules
 seen = {"import bnsl": [0, loaded()]}
 from bnsl.bench import ExperimentSpec, bundled_path, run_experiment
 from bnsl.cli import main
@@ -73,7 +74,10 @@ versions = {}
 for spec in (ExperimentSpec(kind="shd-curve", sample_sizes=(10, 100),
                             networks=(bundled_path("chain5.json"),), **small),
              ExperimentSpec(kind="predict-rank", train_fractions=(0.3, 0.6),
-                            datasets=(csv,), **small)):
+                            datasets=(csv,), **small),
+             ExperimentSpec(kind="param-count", train_fractions=(0.3, 0.6),
+                            datasets=(csv,), **small),
+             ExperimentSpec(kind="regret-table")):
     versions[spec.kind] = run_experiment(spec, sys.argv[1])["versions"]
     seen[spec.kind] = [0, loaded()]
 learn = ["learn", "--data", csv, "--criterion"]
@@ -81,26 +85,28 @@ runs = {"learn bic": learn + ["bic"], "learn fnml": learn + ["fnml"],
         "learn qnml": learn + ["qnml"],
         "score": ["score", "--data", csv, "--network", net],
         "sample": ["sample", "--model", net, "--n", "20"],
+        "shd": ["shd", "--a", net, "--b", net],
+        "predict": ["predict", "--train", csv, "--test", csv],
+        "bench": ["bench", "--spec", "regret-table"],
         "learn bdeu": learn + ["bdeu"], "learn bdq": learn + ["bdq"],
-        "learn fnml exact": learn + ["fnml", "--regret", "exact"]}
+        "learn fnml exact": learn + ["fnml", "--regret", "exact"],
+        "regret exact": ["regret", "--n", "5000", "--r", "10", "--method",
+                         "exact"],
+        "regret table": ["regret", "--table1"]}
 for name, argv in runs.items():
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
         code = main(argv)
     seen[name] = [code, loaded()]
-versions["regret-table"] = run_experiment(ExperimentSpec(),
-                                          sys.argv[1])["versions"]
-seen["regret-table"] = [0, loaded()]
 print(json.dumps({"seen": seen, "versions": versions}))
 """
 
 
 def test_default_learn_path_does_not_load_scipy(tmp_path):
-    # scipy.special is most of the import time of a one-shot `bnsl learn`;
-    # only exact regret and the brute-force oracles need it, so no learn
-    # under any criterion with the default regret, nor a batch of configs
-    # on one dataset or several, nor an shd-curve or predict-rank
-    # experiment under every criterion, loads it; nor do they load
+    # numpy is the only runtime dependency: with scipy blocked, every learn
+    # under every criterion and regret method, a batch of configs on one
+    # dataset or several, every CLI command and every experiment kind runs
+    # to exit 0, and no manifest lists scipy. Nor does any of them load
     # numpy.ma, which numpy's np.unique imports
     proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, str(tmp_path)],
                           capture_output=True, text=True, check=True)
@@ -108,14 +114,8 @@ def test_default_learn_path_does_not_load_scipy(tmp_path):
     seen = probe["seen"]
     assert {name: code for name, (code, _) in seen.items()} == dict.fromkeys(
         seen, 0)
-    scipy_loaded = [name for name, (_, loaded) in seen.items()
-                    if "scipy" in loaded]
-    assert scipy_loaded == ["learn fnml exact", "regret-table"]
-    assert [name for name, (_, loaded) in seen.items()
-            if loaded] == scipy_loaded
-    # a regret table, the one experiment that runs scipy code, lists
-    # scipy's version; the others list no scipy
-    import scipy
-    assert probe["versions"]["regret-table"]["scipy"] == scipy.__version__
-    for kind in ("shd-curve", "predict-rank"):
+    assert [name for name, (_, loaded) in seen.items() if loaded] == []
+    assert set(probe["versions"]) == {"shd-curve", "predict-rank",
+                                      "param-count", "regret-table"}
+    for kind in probe["versions"]:
         assert set(probe["versions"][kind]) == {"bnsl", "python", "numpy"}

@@ -1,14 +1,21 @@
+import importlib
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bnsl.cli import main
 from bnsl.errors import DataError, ResourceLimitError
 from bnsl.regret import (RegretCache, canonical_method, regret,
                          regret_bruteforce_oracle, regret_exact,
                          regret_szp_all_range, regret_szp_small_r,
                          shared_cache)
+
+# the package exports a function named regret, so `from bnsl import regret`
+# does not give the module
+regret_module = importlib.import_module("bnsl.regret")
 
 # Published reference grid: (n, r) -> (small-r expansion, all-range
 # approximation, exact), printed to two decimals.
@@ -64,6 +71,46 @@ def test_invalid_arguments():
 def test_exact_agrees_with_enumeration(n, r):
     assert regret_exact(n, r) == pytest.approx(
         regret_bruteforce_oracle(n, r), abs=1e-9)
+
+
+def _exact_sum_log(n, r):
+    """ln C(n, r) from the n terms summed as exact fractions."""
+    term = Fraction(r, n)
+    total = term
+    for l in range(n - 1):
+        term *= Fraction((n - 1 - l) * (r + l + 1), n * (l + 1))
+        total += term
+    return math.log(total.numerator) - math.log(total.denominator)
+
+
+@pytest.mark.parametrize("r", [2, 10, 1000, 10 ** 4])
+def test_exact_agrees_with_fraction_sum(r):
+    # beyond brute force's r**n <= 2**24: the same finite sum, every term
+    # and the total exact, so only the final logs round
+    for n in (1, 2, 3, 17, 64, 150, 299, 300):
+        want = _exact_sum_log(n, r)
+        assert regret_exact(n, r) == pytest.approx(want, rel=1e-13)
+
+
+@pytest.mark.parametrize("n", [10 ** 4, 10 ** 5])
+def test_exact_follows_the_recurrence_in_r(n):
+    # Kontkanen & Myllymaki (IPL 2007): C(n, r + 2) = C(n, r + 1)
+    # + (n / r) C(n, r), here in log space for r = 1..64
+    logs = [regret_exact(n, r) for r in range(1, 67)]
+    for r in range(1, 65):
+        want = np.logaddexp(logs[r], math.log(n / r) + logs[r - 1])
+        assert logs[r + 1] == pytest.approx(want, rel=1e-12)
+
+
+def test_exact_byte_guard(monkeypatch):
+    # the bound is in bytes, 24 a term: n = 1000 fits 24 000 bytes and
+    # n = 1001 is refused, by the CLI with exit code 3
+    monkeypatch.setattr(regret_module, "EXACT_BYTES_LIMIT", 24 * 1000)
+    assert regret_exact(1000, 3) > 0
+    with pytest.raises(ResourceLimitError):
+        regret_exact(1001, 3)
+    argv = ["regret", "--n", "1001", "--r", "3", "--method", "exact"]
+    assert main(argv) == 3
 
 
 def test_enumeration_guard():

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, ResourceLimitError
+from .errors import DataError, ResourceLimitError, integer
 
 # dense q x r contingency tables are refused beyond this many cells
 MAX_TABLE_CELLS = 1 << 24
@@ -35,7 +35,8 @@ class Dataset:
         if rows.ndim != 2:
             raise DataError("rows must be a two-dimensional array")
         object.__setattr__(self, "names", tuple(self.names))
-        object.__setattr__(self, "arities", tuple(int(a) for a in self.arities))
+        object.__setattr__(self, "arities", tuple(integer(a, "an arity")
+                                                 for a in self.arities))
         object.__setattr__(self, "rows", rows)
         n = rows.shape[1]
         if n < 1:
@@ -129,7 +130,9 @@ def load_datasets_shared(paths, declared_arities=None) -> list[Dataset]:
     if declared_arities is not None:
         if len(declared_arities) != n:
             raise DataError("declared arities must match the header length")
-        if any(int(a) < 1 for a in declared_arities):
+        declared_arities = [integer(a, "a declared arity")
+                            for a in declared_arities]
+        if any(a < 1 for a in declared_arities):
             raise DataError("declared arities must be at least 1")
     columns = []
     for path, raw in zip(paths, raws):
@@ -151,7 +154,7 @@ def load_datasets_shared(paths, declared_arities=None) -> list[Dataset]:
         lookups.append({v: k for k, v in enumerate(sorted(pooled[j]))})
         arity = max(len(pooled[j]), 1)
         if declared_arities is not None:
-            declared = int(declared_arities[j])
+            declared = declared_arities[j]
             if declared < arity:
                 raise DataError(
                     f"{where}: declared arity {declared} for column "

@@ -12,9 +12,10 @@ those of its subset, and every criterion's remaining terms depend on the
 parent set and the child arity alone. Subsets are counted in blocks, and
 blocks of one shape in batches: one bincount of a batch's joint index,
 then every marginal by exact integer sums, the cached-statistics idea of
-AD-trees (Moore & Lee, JAIR 1998). The criterion's cell terms are
-evaluated once per batch, and every family sums its subset's terms in its
-own order, by one plan per block shape.
+AD-trees (Moore & Lee, JAIR 1998). One plan per block shape gathers the
+subsets' counts in groups of one cell count k, the criterion's cell terms
+are evaluated on each gathered group with its k, and every family sums its
+subset's terms in its own order.
 
 learn_datasets is the one learn path: it learns datasets of one shape
 under a batch of score configs. learn_criteria is its one-dataset case,
@@ -24,7 +25,7 @@ share the maximized log-likelihood and differ only in their penalty, so
 configs whose cell terms agree share those terms and their sums. Datasets
 of one shape differ only in their counts: a dataset is one more leading
 digit of each block's joint index, so one bincount counts them all, the
-cell terms and their sums are taken over the stacked tensor, and the
+counts are gathered and their terms summed over the stacked tensor, and the
 penalties and joins take every dataset's row count at once. The search
 runs on all (dataset, config) tables at once, the tables as its last axis.
 Every operation is the one a single config does on a single dataset, so
@@ -148,15 +149,18 @@ def _score_tables(indexed, cfgs, shape: _LearnShape) -> np.ndarray:
 
     Configs whose cell terms agree (one cell function, and the same value
     of the config field it reads, see scores.Criterion: bic, fnml and qnml
-    all sum N ln N) form a group. Each group's cell terms are evaluated
-    once over a batch's tensor, and the sums of every group are taken in
-    the same numpy calls. Every block shape, a set B counted alone (b = 0)
-    included, is summed by its cached plan (see _block_plan): one row per
-    family, its cells in that family's order, and one per parent set
-    within the cap, its cells in natural order. Subsets of one arity
-    sequence are taken together, then each row's order, in takes of at
-    most _GATHER_ENTRIES entries or one family's cells. A group's family
-    sums land in its first config's tables. Penalties are evaluated per config
+    all sum N ln N) form a group. A batch holds its count tensor and the
+    sums; cell terms exist only per gathered chunk. Every block shape, a
+    set B counted alone (b = 0) included, is summed by its cached plan
+    (see _block_plan): one row per family, its cells in that family's
+    order, and one per parent set within the cap, its cells in natural
+    order. The plan groups the subsets by cell count k. Subsets of one
+    arity sequence are taken together from the count tensor, every group's
+    cell terms are evaluated on their counts with cell count k (the call
+    local_score makes), then each row's order is taken, in takes of at
+    most _GATHER_ENTRIES entries or one family's cells, and the sums of
+    every group are taken in the same numpy calls. A group's family sums
+    land in its first config's tables. Penalties are evaluated per config
     over every dataset at once, and each config's join takes the family
     sums, the parent sets' own term sums and the penalties of all children
     and datasets at once, with each dataset's row count (see
@@ -179,8 +183,11 @@ def _score_tables(indexed, cfgs, shape: _LearnShape) -> np.ndarray:
                                                              crit.cell_reads)
         shared.setdefault((crit.cell, reads), []).append(i)
     groups = list(shared.values())
+    cell_terms = [scorers[group[0]][:2] for group in groups]
     nd = len(indexed)
     sizes = [record.n_rows for record in indexed]
+    # a number of rows that no count exceeds
+    top = max(sizes)
     # per dataset, against the (blocks, datasets, parent sets) penalties
     n_rows = np.array(sizes)[:, None]
     child_arities = sorted(set(arities))
@@ -234,15 +241,8 @@ def _score_tables(indexed, cfgs, shape: _LearnShape) -> np.ndarray:
             index += joint * bcells
             joint = index.reshape(-1)
         cube = _marginals(joint, m * nd, low, bcells)
-        # every group's cell terms, one group after another, in one array
-        terms = np.empty((len(groups), *cube.shape))
-        for g, group in enumerate(groups):
-            cfg, crit, _ = scorers[group[0]]
-            terms[g] = crit.cell(cube, plan.cells, max(sizes), cfg)
-        # a position picks one cell of the first b axes with all of B's
-        # cells after it; the groups' rows are stacked
+        # the groups' rows are stacked
         rows_all = len(groups) * m * nd
-        terms = terms.reshape(rows_all, *cube.shape[1:])
         sums = np.empty((rows_all, plan.rows))
         pens = np.empty((len(cfgs), len(child_arities), m, nd,
                          len(plan.pdest)))
@@ -257,7 +257,15 @@ def _score_tables(indexed, cfgs, shape: _LearnShape) -> np.ndarray:
                 step, width = max(1, fit // t), min(fit, t)
                 for row in range(0, len(rows), step):
                     chunk = rows[row:row + step]
-                    part = np.take(terms, chunk, axis=1).reshape(-1, k)
+                    # a position picks one cell of the first b axes with
+                    # all of B's cells after it; every group's cell terms
+                    # of the chunk's counts, one group after another, and
+                    # one group's not copied
+                    counts = np.take(cube, chunk, axis=1)
+                    terms = [crit.cell(counts, k, top, cfg)
+                             for cfg, crit in cell_terms]
+                    part = (terms[0] if len(terms) == 1
+                            else np.stack(terms)).reshape(-1, k)
                     end = start + len(chunk) * t
                     # a view: a column per (subset, order), orders last
                     out = sums[:, start:end].reshape(rows_all, len(chunk), t)
@@ -399,7 +407,8 @@ def _index(data: Dataset, shape: _LearnShape) -> _Indexed:
 
 # a block's marginal tensor holds at most this many cells, and a run of
 # datasets this many over n rows or tensor cells (five 5-variable samples
-# of 10 000 rows, four 8-variable binary datasets)
+# of 10 000 rows, four 8-variable binary datasets); a batch holds the int64
+# tensor and its float64 sums, its cell terms only a gather at a time
 _BLOCK_CELLS = 1 << 18
 # a block is split while the subsets within the cap fill less than
 # 1/_CAPPED_FILL of its marginal tensor. Timed on binary chains, N = 1000,
@@ -564,13 +573,11 @@ class _BlockPlan(NamedTuple):
     there a position picks one cell of the first b axes with all of B's
     cells after it. A family row's column is in fcols and goes to table
     position fdest plus the block's offset fsel (see count), a parent row's
-    column is in pcols and goes to parent set pdest plus B's mask. cells
-    holds the distinct cell counts of the shape's subsets and, per chunk of
-    B's cells, the index of its subset's count among them, for criteria
-    whose cell terms depend on it (see scores.Criterion).
+    column is in pcols and goes to parent set pdest plus B's mask. Each
+    gather of a group's rows reads the counts of families of k cells, the
+    cell count their cell terms take (see scores.Criterion).
     """
 
-    cells: tuple
     rows: int
     groups: tuple
     fdest: np.ndarray
@@ -605,15 +612,6 @@ def _build_block_plan(n, low, bdims, cap):
     bits = masks[:, None] >> np.arange(b) & 1
     size = bits.sum(axis=1) + s
     count = np.where(bits, low, 1).prod(axis=1) * bcells
-    # the distinct cell counts of the subsets, and per tensor cell the
-    # index of its subset's count; the subset of a cell (its mask over the
-    # first b axes) is built from the last axis
-    sizes = np.array(sorted(set(count.tolist())))
-    subset = np.zeros(1, dtype=np.int64)
-    for i in reversed(range(b)):
-        subset = (np.where(np.arange(low[i] + 1) < low[i], 1 << i, 0)[:, None]
-                  + subset).ravel()
-    cells = sizes, np.searchsorted(sizes, count).astype(np.int32)[subset, None]
     # each arity sequence as the digits 1..d of one base d + 1 integer, d
     # the distinct arities; while the tensor fits _BLOCK_CELLS the key stays
     # below 2^36
@@ -667,8 +665,8 @@ def _build_block_plan(n, low, bdims, cap):
                  for (rows, orders, own), end in zip(parts, at)]
         plan.append((k, parts, npar, parents))
         npar += len(parents)
-    return _BlockPlan(cells=cells, rows=int(span.sum()), groups=tuple(plan),
-                      fdest=fdest, fsel=fsel, fcols=fcols, pdest=masks[parent],
+    return _BlockPlan(rows=int(span.sum()), groups=tuple(plan), fdest=fdest,
+                      fsel=fsel, fcols=fcols, pdest=masks[parent],
                       pcols=(start + span - 1)[parent])
 
 

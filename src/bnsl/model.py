@@ -34,7 +34,7 @@ class BayesianNetwork:
     cpts: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        arities = tuple(int(a) for a in self.arities)
+        arities = tuple(integer(a, "an arity") for a in self.arities)
         object.__setattr__(self, "arities", arities)
         g = self.structure
         if len(arities) != g.n or len(self.cpts) != g.n:

@@ -62,11 +62,10 @@ class Criterion:
     """One local score as a cell term, a penalty and one join, shared by
     local_score and the subset-keyed tables (learner.learn_datasets).
 
-    cell(counts, cells, n_rows, cfg) is an elementwise term of a family's
-    count array over `cells` cells (a number, or a pair (sizes, index): the
-    distinct cell counts, and per count an index into them that broadcasts
-    against counts); the family sums it in its own order, child axis last.
-    Its n_rows is a number of rows no count exceeds.
+    cell(counts, cells, n_rows, cfg) is an elementwise term of the count
+    arrays of families of `cells` cells each (a number); the family sums it
+    in its own order, child axis last. Its n_rows is a number of rows no
+    count exceeds.
     penalty(totals, r, n_rows, cfg, cache) is a term of the parent set's
     cell totals and the child arity r; totals holds parent sets of one cell
     count q, the last axis holding one parent set's totals, and the result
@@ -219,35 +218,18 @@ def _rise_table(a: float, top: int) -> np.ndarray:
     return table
 
 
-def _rises(a, counts, index) -> np.ndarray:
-    """lgam(a[index] + counts) - lgam(a[index]) elementwise, index (into
-    the Dirichlet parameters a) broadcasting against the integer counts:
-    one take from the tables of a, each bound by the largest count its a
-    meets."""
-    index = np.asarray(index)
-    # the largest count of every a: the largest over the axes that index
-    # broadcasts along, folded by index
-    lead = counts.ndim - index.ndim
-    axes = (*range(lead),
-            *(lead + i for i, s in enumerate(index.shape) if s == 1))
-    peak = counts.max(axis=axes, keepdims=True, initial=0)
-    top = np.zeros(len(a), dtype=np.int64)
-    np.maximum.at(top, np.broadcast_to(index, peak.shape).ravel(),
-                  peak.ravel())
-    tables = [_rise_table(x, k)[:k + 1]
-              for x, k in zip(a.tolist(), top.tolist())]
-    if len(tables) == 1:
-        return tables[0][counts]
-    starts = np.cumsum([0] + [len(t) for t in tables[:-1]])
-    return np.concatenate(tables)[starts[index] + counts]
+def _rises(a: float, counts) -> np.ndarray:
+    """lgam(a + counts) - lgam(a) elementwise over the integer counts: one
+    take from the rise table of a, first grown to the largest count."""
+    return _rise_table(a, int(np.max(counts, initial=0)))[counts]
 
 
 def _bdeu_cells(counts, cells, n_rows, cfg):
     """BDeu with equivalent sample size cfg.bdeu_alpha: the a_jk = alpha /
-    (q r) cell term, lgam(a_jk + N_jk) - lgam(a_jk). An unobserved cell
-    contributes exactly 0 while lgam(a_jk) is finite."""
-    sizes, index = cells if isinstance(cells, tuple) else ([cells], 0)
-    return _rises(cfg.bdeu_alpha / np.asarray(sizes), counts, index)
+    (q r) cell term, lgam(a_jk + N_jk) - lgam(a_jk), q r being the family's
+    `cells`. An unobserved cell contributes exactly 0 while lgam(a_jk) is
+    finite."""
+    return _rises(float(cfg.bdeu_alpha) / cells, counts)
 
 
 def _no_penalty(totals, r, n_rows, cfg, cache):
@@ -265,7 +247,7 @@ def _bdq_cells(counts, cells, n_rows, cfg):
     categorical, alpha = cfg.bdq_alpha (1/2 gives the Jeffreys prior),
     lgam(alpha + N_k) - lgam(alpha). An unobserved cell contributes exactly
     0 while lgam(alpha) is finite."""
-    return _rises(np.array([cfg.bdq_alpha]), counts, 0)
+    return _rises(float(cfg.bdq_alpha), counts)
 
 
 def _bdq_norm(m, n_rows, alpha: float):

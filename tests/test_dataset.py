@@ -51,8 +51,10 @@ def test_declared_arities_widen_but_never_narrow(tmp_path):
     for load in LOADERS:
         wide = load(path, declared_arities=(4, 2))
         assert wide.arities == (4, 2)
-        # too narrow, too short, too long, below 1
-        for declared in ((2, 2), (4,), (4, 2, 2), (4, 0)):
+        assert load(path, declared_arities=(np.int64(3), 2)).arities == (3, 2)
+        # too narrow, too short, too long, below 1, not integers
+        for declared in ((2, 2), (4,), (4, 2, 2), (4, 0), (2.7, 3), (3.0, 2),
+                         (True, 2), ("3", 2)):
             with pytest.raises(DataError):
                 load(path, declared_arities=declared)
 
@@ -114,6 +116,12 @@ def test_dataset_validation():
         Dataset(("A",), (2,), np.array([[2]], dtype=np.int64))
     with pytest.raises(DataError):
         Dataset(("A",), (0,), np.zeros((0, 1), dtype=np.int64))
+    # an arity is an integer, a numpy one included, never truncated to one
+    rows = np.zeros((2, 2), dtype=np.int64)
+    for arity in (2.9, True, "3", 2.0):
+        with pytest.raises(DataError, match="must be an integer"):
+            Dataset(("A", "B"), (arity, 2), rows)
+    assert Dataset(("A", "B"), (np.int64(3), 2), rows).arities == (3, 2)
     # each column's values lie in 0 .. arity - 1, the last column's too
     names, arities = ("A", "B", "C"), (2, 3, 4)
     top = np.array([[0, 0, 0], [1, 2, 3], [1, 0, 2]], dtype=np.int64)

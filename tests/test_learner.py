@@ -233,11 +233,12 @@ def test_mixed_arity_table_equals_per_family_scores():
 
 
 def test_cell_term_gathers_hold_one_family_at_most():
-    # with no gather budget, every take of cell terms holds one family's
-    # cells per tensor row: one subset's cells, then one order at a time.
-    # A budget of 64 cells splits the variables into many small blocks,
-    # sets counted alone (b = 0) among them. A take of parent-set counts
-    # holds at most the count tensor, so only cell-term takes are checked
+    # with no gather budget, every take of a chunk holds one family's cells
+    # per tensor row: one subset's counts, whose cell terms the next takes
+    # read one order at a time. A budget of 64 cells splits the variables
+    # into many small blocks, sets counted alone (b = 0) among them. A take
+    # of parent-set counts holds at most the count tensor and is followed
+    # by no take of cell terms, so it is not checked
     arities = (2, 3, 2, 3, 2)
     rows = np.random.default_rng(3).integers(0, arities, (60, 5))
     data = Dataset(tuple("ABCDE"), arities, rows)
@@ -246,8 +247,7 @@ def test_cell_term_gathers_hold_one_family_at_most():
 
     def recorded(a, indices, *args, **kwargs):
         out = take(a, indices, *args, **kwargs)
-        if a.dtype.kind == "f":
-            seen.append(out.size // out.shape[0])
+        seen.append((a.dtype.kind, out.size // out.shape[0]))
         return out
 
     for crit in CRITERIA:
@@ -260,9 +260,16 @@ def test_cell_term_gathers_hold_one_family_at_most():
                 mp.setattr(learner, "_BLOCK_CELLS", 64)
                 mp.setattr(np, "take", recorded)
                 table = compute_local_scores(data, cfg, cap).scores
+            terms = [size for kind, size in seen if kind == "f"]
             # the largest family: every variable, or three
             k = 2 * 3 * 2 * 3 * 2 if cap is None else 3 * 3 * 2
-            assert seen and max(seen) <= k, (crit, cap, max(seen))
+            assert terms and max(terms) <= k, (crit, cap, max(terms))
+            # a chunk's count take, which the take of its cell terms
+            # follows, holds one subset's cells, as that take holds one
+            # order of them
+            chunks = [(size, then) for (kind, size), (after, then)
+                      in zip(seen, seen[1:]) if kind + after == "if"]
+            assert chunks and all(a == b for a, b in chunks), (crit, cap)
             assert _same_bits(table, _family_table(data, cfg, cap))
 
 

@@ -122,7 +122,11 @@ def test_network_rejects_bad_cpts():
         BayesianNetwork(g, (2,), (ok_a, ok_b))
     with pytest.raises(DataError):
         BayesianNetwork(g, (2, 0), (ok_a, ok_b))
-    BayesianNetwork(g, (2, 2), (ok_a, ok_b))
+    # an arity is an integer, never truncated to one
+    for arity in (2.6, True, "2"):
+        with pytest.raises(DataError, match="must be an integer"):
+            BayesianNetwork(g, (arity, 2), (ok_a, ok_b))
+    assert BayesianNetwork(g, (np.int64(2), 2), (ok_a, ok_b)).arities == (2, 2)
 
 
 def test_network_cpts_are_read_only():

@@ -208,19 +208,19 @@ def test_lgam_port_is_bit_identical_to_gammaln(monkeypatch):
     largest = {}
     for top in (1, 3, 12, 40, 700, 3000, 60):
         for alpha in (1.0, 0.5, 1e-3, 7.3):
-            a = alpha / sizes
-            index = rng.integers(0, len(sizes), (7, 1))
+            index = rng.integers(0, len(sizes), 7)
             counts = rng.integers(0, top + 1, (3, 7, 5))
             bdeu = ScoreConfig(criterion="bdeu", bdeu_alpha=alpha)
-            got = criterion("bdeu").cell(counts, (sizes, index), top, bdeu)
-            assert _same(got, gammaln(a[index] + counts) - gammaln(a)[index])
+            # one call per family size, on the counts of its families
+            for j, size in enumerate(sizes.tolist()):
+                a, mine = alpha / size, counts[:, index == j]
+                got = criterion("bdeu").cell(mine, size, top, bdeu)
+                assert _same(got, gammaln(a + mine) - gammaln(a))
+                # each table is bound by the largest count its a has met
+                largest[a] = max(largest.get(a, 0), int(mine.max(initial=0)))
             bdq = ScoreConfig(criterion="bdq", bdq_alpha=alpha)
             got = criterion("bdq").cell(counts, 1, top, bdq)
             assert _same(got, gammaln(alpha + counts) - gammaln(alpha))
-            # each table is bound by the largest count its a has met
-            for j, x in enumerate(a.tolist()):
-                seen = counts[:, index[:, 0] == j].max(initial=0)
-                largest[x] = max(largest.get(x, 0), int(seen))
             largest[alpha] = max(largest.get(alpha, 0), int(counts.max()))
             m = rng.integers(1, 300, 6)
             n_rows = rng.integers(0, 2 * top + 1, (4, 1))

@@ -21,7 +21,7 @@ from .learner import learn_exact
 from .model import (fit_ml, load_network, load_structure, mean_test_loglik,
                     sample, save_network)
 from .regret import regret
-from .scores import CRITERIA, ScoreConfig, per_variable_scores
+from .scores import CRITERIA, ScoreConfig, criterion, per_variable_scores
 from .structure import DagStructure, shd
 
 
@@ -34,17 +34,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _score_config(args) -> ScoreConfig:
-    kwargs = {"criterion": args.criterion}
+    if args.alpha is not None and criterion(args.criterion).alpha is None:
+        args.parser.error("--alpha only applies to the bdeu and bdq criteria")
+    kwargs = {"criterion": args.criterion, "alpha": args.alpha}
     if getattr(args, "regret_method", None):
         kwargs["regret_method"] = args.regret_method
-    if getattr(args, "alpha", None) is not None:
-        if args.criterion == "bdeu":
-            kwargs["bdeu_alpha"] = args.alpha
-        elif args.criterion == "bdq":
-            kwargs["bdq_alpha"] = args.alpha
-        else:
-            args.parser.error(
-                "--alpha only applies to the bdeu and bdq criteria")
     return ScoreConfig(**kwargs)
 
 

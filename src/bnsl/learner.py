@@ -147,25 +147,26 @@ def _score_tables(indexed, cfgs, shape: _LearnShape) -> np.ndarray:
     counted together, as many in one tensor as fit _BLOCK_CELLS; a block's
     datasets are the consecutive rows of the tensor, as the blocks are.
 
-    Configs whose cell terms agree (one cell function, and the same value
-    of the config field it reads, see scores.Criterion: bic, fnml and qnml
-    all sum N ln N) form a group. A batch holds its count tensor and the
-    sums; cell terms exist only per gathered chunk. Every block shape, a
-    set B counted alone (b = 0) included, is summed by its cached plan
-    (see _block_plan): one row per family, its cells in that family's
-    order, and one per parent set within the cap, its cells in natural
-    order. The plan groups the subsets by cell count k. Subsets of one
-    arity sequence are taken together from the count tensor, every group's
-    cell terms are evaluated on their counts with cell count k (the call
-    local_score makes), then each row's order is taken, in takes of at
-    most _GATHER_ENTRIES entries or one family's cells, and the sums of
-    every group are taken in the same numpy calls. A group's family sums
-    land in its first config's tables. Penalties are evaluated per config
-    over every dataset at once, and each config's join takes the family
-    sums, the parent sets' own term sums and the penalties of all children
-    and datasets at once, with each dataset's row count (see
-    scores.Criterion). Each entry equals local_score of its family under
-    its config on its dataset bit for bit.
+    Configs whose cell terms agree (one cell function and one alpha, see
+    scores.Criterion: bic, fnml and qnml all sum N ln N) form a group. A
+    batch holds its count tensor and the sums; cell terms exist only per
+    gathered chunk. Every block shape, a set B counted alone (b = 0)
+    included, is summed by its cached plan (see _block_plan): one row per
+    family, its cells in that family's order. A parent set within the cap
+    reads its sum, in natural order, from the row of its last variable's
+    family, whose order that is (the empty set has a row of its own). The
+    plan groups the subsets by cell count k. Subsets of one arity sequence
+    are taken together from the count tensor, every group's cell terms are
+    evaluated on their counts with cell count k (the call local_score
+    makes), then each row's order is taken, in takes of at most
+    _GATHER_ENTRIES entries or one family's cells, and the sums of every
+    group are taken in the same numpy calls. A group's family sums land in
+    its first config's tables. Penalties are evaluated per config over
+    every dataset at once, and each config's join takes the family sums,
+    the parent sets' own term sums and the penalties of all children and
+    datasets at once, with each dataset's row count (see scores.Criterion).
+    Each entry equals local_score of its family under its config on its
+    dataset bit for bit.
 
     A score that is not finite raises the DataError that its dataset and
     config raise alone; of several, the first dataset's, and of its configs
@@ -179,9 +180,7 @@ def _score_tables(indexed, cfgs, shape: _LearnShape) -> np.ndarray:
     # the groups of configs whose cell terms agree, as config indices
     shared = {}
     for i, (cfg, crit, _) in enumerate(scorers):
-        reads = None if crit.cell_reads is None else getattr(cfg,
-                                                             crit.cell_reads)
-        shared.setdefault((crit.cell, reads), []).append(i)
+        shared.setdefault((crit.cell, cfg.alpha), []).append(i)
     groups = list(shared.values())
     cell_terms = [scorers[group[0]][:2] for group in groups]
     nd = len(indexed)
@@ -522,10 +521,9 @@ def _build_block_shapes(arities: tuple[int, ...], cap: int):
         bvars = np.array(group, dtype=np.int64).reshape(len(group), -1)
         bmasks = (1 << bvars).sum(axis=1)
         # what a block's plan positions lack: a child of A sees B's bits
-        # one place lower, a parent set is A + B, and a child of B sees
-        # A's bits where they are
+        # one place lower, and a child of B sees A's bits where they are
         offsets = np.column_stack(
-            (bmasks >> 1, bmasks,
+            (bmasks >> 1,
              bvars * half + _compress_mask(bmasks[:, None], bvars)))
         out.append((b, bdims, widths[b] * math.prod(bdims), bvars, bmasks,
                     offsets))
@@ -565,14 +563,15 @@ class _BlockPlan(NamedTuple):
     (b = 0) included.
 
     Rows are grouped by cell count k; groups holds, per k, (k, the parts
-    that give its rows' sums in column order, the first parent row's
-    column among all parent rows, and the parent sets' cells). A part is
-    (the subsets of one arity sequence, as their cells in natural order,
-    one row each, and the orders that make their rows: each child's family
-    order, then the parent set's own order when it is within the cap);
-    there a position picks one cell of the first b axes with all of B's
-    cells after it. A family row's column is in fcols and goes to table
-    position fdest plus the block's offset fsel (see count), a parent row's
+    that give its rows' sums in column order, the first parent row's column
+    among all parent rows, and the parent sets' cells). A part is (the
+    subsets of one arity sequence, as their cells in natural order, one row
+    each, and the orders that make their rows: each child's family order,
+    the last child's being the natural order, or for the empty set its one
+    cell); there a position picks one cell of the first b axes with all of
+    B's cells after it. A family row's column is in fcols and goes to table
+    position fdest plus the block's offset fsel (see count). A subset
+    within the cap is also a parent set, whose sum is its last row's: that
     column is in pcols and goes to parent set pdest plus B's mask. Each
     gather of a group's rows reads the counts of families of k cells, the
     cell count their cell terms take (see scores.Criterion).
@@ -620,12 +619,13 @@ def _build_block_plan(n, low, bdims, cap):
     for i, r in enumerate(low):
         key = np.where(bits[:, i], key * (len(digits) + 1) + digits[r], key)
     # the subsets within the cap, by cell count, then arity sequence, then
-    # mask; each has one row per child, A's then B's, then one for its
-    # parent set when that is within the cap
+    # mask; each has one row per child, A's then B's. The last child's
+    # family order is the natural order, so its row gives the subset's sum
+    # as a parent set too; the empty set has one row, its sum
     masks = masks[size <= cap + 1]
     masks = masks[np.lexsort((key[masks], count[masks]))]
     size, parent = size[masks], size[masks] <= cap
-    span = size + parent
+    span = np.maximum(size, 1)
     start = np.cumsum(span) - span
     row, member = np.nonzero(bits[masks])
     nth = np.arange(len(row)) - np.searchsorted(row, row)
@@ -633,7 +633,7 @@ def _build_block_plan(n, low, bdims, cap):
         (start + size - s)[:, None] + np.arange(s)).ravel()))
     fdest = np.concatenate((member * half + _compress_mask(masks[row], member),
                             np.repeat(masks, s)))
-    fsel = np.concatenate((np.zeros_like(row), np.tile(np.arange(2, s + 2),
+    fsel = np.concatenate((np.zeros_like(row), np.tile(np.arange(1, s + 1),
                                                        len(masks))))
     # the tensor position, in chunks of bcells cells, of each subset's first
     # cell, and per axis the step between positions
@@ -651,7 +651,7 @@ def _build_block_plan(n, low, bdims, cap):
         # B's cells
         rows = base[:, None] + step[members] @ np.indices(
             dims, dtype=np.int64).reshape(len(dims), math.prod(dims))
-        orders = _orders(dims + bdims, bool(own[0]))
+        orders = _orders(dims + bdims)
         groups.setdefault(orders.shape[1], []).append((rows, orders, own[0]))
     plan = []
     npar = 0
@@ -670,18 +670,16 @@ def _build_block_plan(n, low, bdims, cap):
                       pcols=(start + span - 1)[parent])
 
 
-def _orders(dims: tuple[int, ...], own: bool) -> np.ndarray:
+def _orders(dims: tuple[int, ...]) -> np.ndarray:
     """Row i lists the cells of a count array with axis lengths dims in the
-    family order of its child i, axis i moved last; with own, one more row
-    lists them in natural order."""
+    family order of its child i, axis i moved last; the last row is the
+    natural order. The empty set has no family, and one row: its cell."""
     t = len(dims)
     cube = np.arange(math.prod(dims)).reshape(dims)
-    orders = np.empty((t + own, cube.size), dtype=np.int64)
+    orders = np.zeros((max(t, 1), cube.size), dtype=np.int64)
     for i in range(t):
         axes = (*range(i), *range(i + 1, t), i)
         orders[i].reshape([dims[a] for a in axes])[...] = cube.transpose(axes)
-    if own:
-        orders[t] = cube.ravel()
     return orders
 
 

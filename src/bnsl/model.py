@@ -189,9 +189,11 @@ def sample(net: BayesianNetwork, n_rows: int, seed: int) -> Dataset:
 
 def save_network(path, g: DagStructure, arities, cpts=None) -> None:
     """Write a network file; cpts may be omitted for a structure-only file."""
-    arities = tuple(int(a) for a in arities)
+    arities = tuple(integer(a, "an arity") for a in arities)
     if len(arities) != g.n:
         raise DataError("arities length must equal the node count")
+    if any(a < 1 for a in arities):
+        raise DataError("arities must be at least 1")
     names = g.names if g.names is not None else tuple(
         f"X{k + 1}" for k in range(g.n))
     doc = {

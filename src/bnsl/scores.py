@@ -34,25 +34,29 @@ from .structure import DagStructure
 class ScoreConfig:
     """Criterion choice plus its hyperparameters.
 
-    bdeu_alpha is the BDeu equivalent sample size; bdq_alpha is the
-    symmetric Dirichlet parameter of BDq (1/2 gives the Jeffreys prior).
+    alpha is the Dirichlet hyperparameter of bdeu (its equivalent sample
+    size, 1 by default) or bdq (1/2 by default, the Jeffreys prior); None
+    gives the default. The other criteria have none and refuse one.
     regret_method selects how fNML and qNML evaluate regret terms.
     """
 
     criterion: str = "qnml"
-    bdeu_alpha: float = 1.0
-    bdq_alpha: float = 0.5
+    alpha: float | None = None
     regret_method: str = "szp-all-range"
 
     def __post_init__(self):
         if self.criterion not in CRITERIA:
             raise DataError(f"unknown criterion {self.criterion!r}; "
                             f"expected one of {', '.join(CRITERIA)}")
-        for name in ("bdeu_alpha", "bdq_alpha"):
-            alpha = real(getattr(self, name), name)
+        alpha = _CRITERIA[self.criterion].alpha
+        if self.alpha is not None:
+            if alpha is None:
+                raise DataError(f"{self.criterion} takes no alpha")
+            alpha = real(self.alpha, "alpha")
             if not (alpha > 0.0 and math.isfinite(alpha)):
                 raise DataError("Dirichlet hyperparameters must be positive "
                                 "and finite")
+        object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "regret_method",
                            canonical_method(self.regret_method))
 
@@ -77,15 +81,15 @@ class Criterion:
     on arrays of families. In penalty and join, n_rows is the number of data
     rows: a number, or an array of one per dataset that broadcasts against
     the other arguments, so a stack of datasets is scored in one call.
-    cell_reads names the ScoreConfig field that cell reads, None if it
-    reads none: two configs whose cell and that field agree have the same
-    cell terms.
+    alpha is the criterion's default Dirichlet hyperparameter, None if it
+    has none; cell reads no field of the config but its alpha, so two
+    configs whose cell and alpha agree have the same cell terms.
     """
 
     cell: Callable
     penalty: Callable
     join: Callable
-    cell_reads: str | None = None
+    alpha: float | None = None
 
 
 def _xlogx_cells(counts, cells, n_rows, cfg):
@@ -225,11 +229,11 @@ def _rises(a: float, counts) -> np.ndarray:
 
 
 def _bdeu_cells(counts, cells, n_rows, cfg):
-    """BDeu with equivalent sample size cfg.bdeu_alpha: the a_jk = alpha /
+    """BDeu with equivalent sample size cfg.alpha: the a_jk = alpha /
     (q r) cell term, lgam(a_jk + N_jk) - lgam(a_jk), q r being the family's
     `cells`. An unobserved cell contributes exactly 0 while lgam(a_jk) is
     finite."""
-    return _rises(float(cfg.bdeu_alpha) / cells, counts)
+    return _rises(cfg.alpha / cells, counts)
 
 
 def _no_penalty(totals, r, n_rows, cfg, cache):
@@ -244,10 +248,10 @@ def _bdeu_join(cell_sum, term_sum, q, penalty, n_rows, cfg):
 
 def _bdq_cells(counts, cells, n_rows, cfg):
     """BDq: one symmetric Dirichlet(alpha) cell term of a collapsed
-    categorical, alpha = cfg.bdq_alpha (1/2 gives the Jeffreys prior),
+    categorical, alpha = cfg.alpha (1/2 gives the Jeffreys prior),
     lgam(alpha + N_k) - lgam(alpha). An unobserved cell contributes exactly
     0 while lgam(alpha) is finite."""
-    return _rises(float(cfg.bdq_alpha), counts)
+    return _rises(cfg.alpha, counts)
 
 
 def _bdq_norm(m, n_rows, alpha: float):
@@ -268,24 +272,24 @@ def _norm(ma: float, n_rows: int) -> float:
 
 def _bdq_penalty(totals, r, n_rows, cfg, cache):
     """The normalizing term of the collapsed family over q r cells."""
-    ma = totals.shape[-1] * r * cfg.bdq_alpha
+    ma = totals.shape[-1] * r * cfg.alpha
     return _per_dataset(lambda n: _norm(ma, n), n_rows)
 
 
 def _bdq_join(cell_sum, term_sum, q, penalty, n_rows, cfg):
     """Quotient Bayesian score: joint family marginal over the parent set's
     collapsed marginal, one categorical over its full cell space."""
-    return (penalty + cell_sum) - (_bdq_norm(q, n_rows, cfg.bdq_alpha)
+    return (penalty + cell_sum) - (_bdq_norm(q, n_rows, cfg.alpha)
                                    + term_sum)
 
 
 _LOGLIK = dict(cell=_xlogx_cells, join=_loglik_join)
 _CRITERIA = {
     "bic": Criterion(penalty=_bic_penalty, **_LOGLIK),
-    "bdeu": Criterion(_bdeu_cells, _no_penalty, _bdeu_join, "bdeu_alpha"),
+    "bdeu": Criterion(_bdeu_cells, _no_penalty, _bdeu_join, 1.0),
     "fnml": Criterion(penalty=_fnml_penalty, **_LOGLIK),
     "qnml": Criterion(penalty=_qnml_penalty, **_LOGLIK),
-    "bdq": Criterion(_bdq_cells, _bdq_penalty, _bdq_join, "bdq_alpha"),
+    "bdq": Criterion(_bdq_cells, _bdq_penalty, _bdq_join, 0.5),
 }
 CRITERIA = tuple(_CRITERIA)
 

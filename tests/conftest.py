@@ -4,15 +4,29 @@ Everything random is seeded through numpy Generators so failures
 reproduce; hypothesis supplies its own shrinkable randomness where used.
 """
 
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import settings
 
+import bnsl
 from bnsl.dataset import Dataset
 from bnsl.structure import DagStructure
 
 settings.register_profile("suite", deadline=None, max_examples=40)
 settings.load_profile("suite")
+
+
+def child_env() -> dict:
+    """The environment of a child interpreter that imports the bnsl this
+    suite imports: PYTHONPATH starts with the directory that holds it."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (
+        str(Path(bnsl.__file__).resolve().parent.parent),
+        env.get("PYTHONPATH"))))
+    return env
 
 
 def random_dataset(rng: np.random.Generator, n_vars: int, n_rows: int,

@@ -40,7 +40,7 @@ from bnsl.structure import (
     to_cpdag,
 )
 
-from conftest import random_dataset, random_dag
+from conftest import child_env, random_dataset, random_dag
 
 QNML_EXACT = ScoreConfig(criterion="qnml", regret_method="exact")
 FNML_EXACT = ScoreConfig(criterion="fnml", regret_method="exact")
@@ -104,8 +104,8 @@ def covered_arc_choices(g):
 def test_acceptance_03_covered_arc_reversal_invariance():
     rng = np.random.default_rng(31)
     configs = (QNML_EXACT,
-               ScoreConfig(criterion="bdeu", bdeu_alpha=1.0),
-               ScoreConfig(criterion="bdq", bdq_alpha=0.5))
+               ScoreConfig(criterion="bdeu", alpha=1.0),
+               ScoreConfig(criterion="bdq", alpha=0.5))
     trials, worst = 0, 0.0
     while trials < 500:
         n = int(rng.integers(2, 7))
@@ -310,7 +310,7 @@ def test_acceptance_10_small_sample_model_sizes_and_predictions():
 
 def _run(argv):
     return subprocess.run([sys.executable, "-m", "bnsl", *map(str, argv)],
-                          capture_output=True)
+                          capture_output=True, env=child_env())
 
 
 def test_acceptance_11_cli_reruns_are_byte_identical(tmp_path):

@@ -21,10 +21,12 @@ from bnsl.regret import regret
 from bnsl.scores import ScoreConfig, per_variable_scores
 from bnsl.structure import DagStructure
 
+from conftest import child_env
+
 
 def run_cli(*argv):
     return subprocess.run([sys.executable, "-m", "bnsl", *map(str, argv)],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=child_env())
 
 
 def parse_csv(text):

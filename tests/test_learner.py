@@ -122,6 +122,18 @@ def _family_table(data, cfg, max_parents=None):
     return table
 
 
+# the Dirichlet hyperparameters drawn for the criteria that take one
+_ALPHAS = {"bdeu": [1.0, 0.3, 9.5], "bdq": [0.5, 1.0, 4.0]}
+
+
+def draw_config(draw, crit):
+    """A config of the criterion with a drawn regret method, and a drawn
+    alpha where the criterion takes one."""
+    alpha = draw(st.sampled_from(_ALPHAS[crit])) if crit in _ALPHAS else None
+    return ScoreConfig(criterion=crit, alpha=alpha,
+                       regret_method=draw(st.sampled_from(METHODS)))
+
+
 @st.composite
 def scoring_cases(draw):
     n = draw(st.integers(1, 6))
@@ -144,10 +156,7 @@ def scoring_cases(draw):
     # declared arities may be wider than the observed values
     declared = [a + draw(st.integers(0, 2)) for a in arities]
     data = Dataset(tuple(f"X{i}" for i in range(n)), declared, rows)
-    cfg = ScoreConfig(criterion=draw(st.sampled_from(CRITERIA)),
-                      regret_method=draw(st.sampled_from(METHODS)),
-                      bdeu_alpha=draw(st.sampled_from([1.0, 0.3, 9.5])),
-                      bdq_alpha=draw(st.sampled_from([0.5, 1.0, 4.0])))
+    cfg = draw_config(draw, draw(st.sampled_from(CRITERIA)))
     return data, cfg, draw(st.sampled_from([None, 0, 1, 2]))
 
 
@@ -412,7 +421,7 @@ def test_table_errors_match_per_family_errors():
         compute_local_scores(empty, bic)
     # a tiny alpha passes ScoreConfig but overflows gammaln
     data = Dataset(("A", "B"), (2, 2), rows)
-    tiny = ScoreConfig(criterion="bdeu", bdeu_alpha=1e-310)
+    tiny = ScoreConfig(criterion="bdeu", alpha=1e-310)
     with pytest.raises(DataError, match="not finite"):
         local_score(data, 0, (1,), tiny)
     with pytest.raises(DataError, match="not finite"):
@@ -442,12 +451,6 @@ def batch_cases(draw):
     once, in shuffled order, with drawn hyperparameters and regret methods,
     plus duplicates of some of them and a few more drawn configs. The
     datasets' row counts differ, and now and then one of them has none."""
-    def config(crit):
-        return ScoreConfig(criterion=crit,
-                           regret_method=draw(st.sampled_from(METHODS)),
-                           bdeu_alpha=draw(st.sampled_from([1.0, 0.3, 9.5])),
-                           bdq_alpha=draw(st.sampled_from([0.5, 1.0, 4.0])))
-
     n = draw(st.integers(1, 7))
     arities = draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
     declared = [a + draw(st.integers(0, 1)) for a in arities]
@@ -461,9 +464,10 @@ def batch_cases(draw):
                 np.stack([rng.integers(0, a, n_rows) for a in arities],
                          axis=1).reshape(n_rows, n))
         for n_rows in sizes)
-    cfgs = [config(crit) for crit in draw(st.permutations(CRITERIA))]
+    cfgs = [draw_config(draw, crit)
+            for crit in draw(st.permutations(CRITERIA))]
     cfgs += draw(st.lists(st.sampled_from(cfgs), max_size=3))
-    cfgs += [config(crit) for crit in draw(
+    cfgs += [draw_config(draw, crit) for crit in draw(
         st.lists(st.sampled_from(CRITERIA), max_size=3))]
     cfgs = draw(st.permutations(cfgs))
     return datasets, tuple(cfgs), draw(st.sampled_from([None, 0, 1, 2, 3]))
@@ -479,11 +483,11 @@ def _mixed_hyperparameters_case():
     datasets of different row counts."""
     rows = np.random.default_rng(1).integers(0, 3, (60, 4))
     cfgs = (ScoreConfig(criterion="bdeu"),
-            ScoreConfig(criterion="bdeu", bdeu_alpha=9.5),
+            ScoreConfig(criterion="bdeu", alpha=9.5),
             ScoreConfig(criterion="bdq"),
-            ScoreConfig(criterion="bdq", bdq_alpha=4.0),
+            ScoreConfig(criterion="bdq", alpha=4.0),
             ScoreConfig(criterion="fnml", regret_method="exact"),
-            ScoreConfig(criterion="bic", bdeu_alpha=0.3),
+            ScoreConfig(criterion="bic"),
             ScoreConfig(criterion="qnml"))
     return ((Dataset(tuple("ABCD"), (3,) * 4, rows),
              Dataset(tuple("ABCD"), (3,) * 4, rows[:17])), cfgs, None)
@@ -584,7 +588,7 @@ def test_batch_counts_the_data_once():
 
 def test_configs_share_cell_terms_unless_a_field_they_read_differs():
     # each cell function counts its calls; a batch evaluates the cell terms
-    # of configs whose cell function and the field it reads agree once
+    # of configs whose cell function and alpha agree once
     rows = np.random.default_rng(5).integers(0, 3, (50, 4))
     data = Dataset(tuple("ABCD"), (3,) * 4, rows)
     calls = []
@@ -608,22 +612,24 @@ def test_configs_share_cell_terms_unless_a_field_they_read_differs():
         mp.setattr(learner, "criterion", counting)
         once = evaluations([ScoreConfig(criterion="qnml")])
         assert once > 0
-        # loglik reads no hyperparameter, bdeu reads bdeu_alpha alone and
-        # bdq bdq_alpha alone
-        assert evaluations([ScoreConfig(criterion="bic", bdeu_alpha=3.0),
+        # loglik takes no hyperparameter, and its configs refuse one
+        assert evaluations([ScoreConfig(criterion="bic"),
                             ScoreConfig(criterion="qnml"),
-                            ScoreConfig(criterion="fnml", bdq_alpha=2.0,
+                            ScoreConfig(criterion="fnml",
                                         regret_method="exact")]) == once
+        for c in ("bic", "fnml", "qnml"):
+            with pytest.raises(DataError):
+                ScoreConfig(criterion=c, alpha=1.0)
+        # bdeu and bdq share terms where their alpha agrees, the default
+        # given or not
         assert evaluations([ScoreConfig(criterion="bdeu"),
-                            ScoreConfig(criterion="bdeu", bdq_alpha=2.0)]
-                           ) == once
+                            ScoreConfig(criterion="bdeu", alpha=1)]) == once
         assert evaluations([ScoreConfig(criterion="bdq"),
-                            ScoreConfig(criterion="bdq", bdeu_alpha=3.0)]
-                           ) == once
+                            ScoreConfig(criterion="bdq", alpha=0.5)]) == once
         assert evaluations([ScoreConfig(criterion="bdeu"),
-                            ScoreConfig(criterion="bdeu", bdeu_alpha=3.0),
+                            ScoreConfig(criterion="bdeu", alpha=3.0),
                             ScoreConfig(criterion="bdq"),
-                            ScoreConfig(criterion="bdq", bdq_alpha=2.0)]
+                            ScoreConfig(criterion="bdq", alpha=2.0)]
                            ) == 4 * once
 
 
@@ -660,9 +666,9 @@ def test_batch_raises_the_first_failing_configs_error():
     rng = np.random.default_rng(0)
     rows = np.stack([rng.integers(0, a, 40) for a in (2, 3, 3)], axis=1)
     data = Dataset(("A", "B", "C"), (2, 3, 3), rows)
-    fails_at_b = ScoreConfig(criterion="bdeu", bdeu_alpha=4e-308)
-    fails_at_a = ScoreConfig(criterion="bdeu", bdeu_alpha=1e-310)
-    bdq = ScoreConfig(criterion="bdq", bdq_alpha=1e-310)
+    fails_at_b = ScoreConfig(criterion="bdeu", alpha=4e-308)
+    fails_at_a = ScoreConfig(criterion="bdeu", alpha=1e-310)
+    bdq = ScoreConfig(criterion="bdq", alpha=1e-310)
     qnml = ScoreConfig(criterion="qnml")
     alone = {}
     for cfg in (fails_at_b, fails_at_a, bdq):
@@ -713,7 +719,7 @@ def test_dataset_batch_raises_the_first_failing_datasets_error():
     pqr = Dataset(("P", "Q", "R"), (2, 3, 3), rows[::-1])
     short = Dataset(("A", "B", "C"), (2, 3, 3), rows[:5])
     empty = Dataset(("E", "F", "G"), (2, 3, 3), rows[:0])
-    tiny = ScoreConfig(criterion="bdeu", bdeu_alpha=1e-310)
+    tiny = ScoreConfig(criterion="bdeu", alpha=1e-310)
     bic = ScoreConfig(criterion="bic")
     qnml = ScoreConfig(criterion="qnml")
     batches = [(abc, pqr), (pqr, abc), (empty, abc), (abc, empty),

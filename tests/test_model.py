@@ -360,3 +360,9 @@ def test_load_validates_cpts(tmp_path):
 def test_save_rejects_arity_length_mismatch(tmp_path):
     with pytest.raises(DataError):
         save_network(tmp_path / "x.json", dag(2, (0, 1)), (2,))
+    # an arity that is not an integer of at least 1, as BayesianNetwork
+    # refuses it: no file that load_network would refuse is written
+    for bad in (2.7, True, 0):
+        with pytest.raises(DataError):
+            save_network(tmp_path / "y.json", DagStructure(1, ((),)), (bad,))
+        assert not (tmp_path / "y.json").exists()

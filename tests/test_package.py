@@ -8,6 +8,8 @@ from pathlib import Path
 
 import bnsl
 
+from conftest import child_env
+
 
 def test_star_import_resolves_every_export():
     namespace = {}
@@ -64,7 +66,7 @@ data = bnsl.load_dataset(csv)
 bnsl.learn_datasets((bnsl.Dataset(data.names, data.arities, data.rows[:k])
                      for k in (50, 1, 500)), loglik)
 seen["learn_datasets bic fnml qnml"] = [0, loaded()]
-dirichlet = [bnsl.ScoreConfig(criterion=c, **{f"{c}_alpha": a})
+dirichlet = [bnsl.ScoreConfig(criterion=c, alpha=a)
              for c in ("bdeu", "bdq") for a in (1.0, 0.5, 7.3)]
 bnsl.learn_datasets((bnsl.Dataset(data.names, data.arities, data.rows[:k])
                      for k in (50, 1, 500)), dirichlet)
@@ -109,7 +111,8 @@ def test_default_learn_path_does_not_load_scipy(tmp_path):
     # to exit 0, and no manifest lists scipy. Nor does any of them load
     # numpy.ma, which numpy's np.unique imports
     proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, str(tmp_path)],
-                          capture_output=True, text=True, check=True)
+                          capture_output=True, text=True, check=True,
+                          env=child_env())
     probe = json.loads(proc.stdout.splitlines()[-1])
     seen = probe["seen"]
     assert {name: code for name, (code, _) in seen.items()} == dict.fromkeys(

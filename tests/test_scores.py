@@ -46,11 +46,20 @@ def test_config_validation():
     assert ScoreConfig(regret_method="szp2").regret_method == "szp-all-range"
     with pytest.raises(DataError):
         ScoreConfig(criterion="aic")
-    for bad in (0.0, -1.0, math.nan, math.inf):
-        with pytest.raises(DataError):
-            ScoreConfig(bdeu_alpha=bad)
-        with pytest.raises(DataError):
-            ScoreConfig(bdq_alpha=bad)
+    # bdeu and bdq take one Dirichlet hyperparameter, with a default each;
+    # the other criteria have none and refuse one
+    assert ScoreConfig(criterion="bdeu").alpha == 1.0
+    assert ScoreConfig(criterion="bdq").alpha == 0.5
+    for c in ("bdeu", "bdq"):
+        for bad in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(DataError, match="positive and finite"):
+                ScoreConfig(criterion=c, alpha=bad)
+    for c in ("bic", "fnml", "qnml"):
+        assert ScoreConfig(criterion=c).alpha is None
+        assert ScoreConfig(criterion=c, alpha=None) == ScoreConfig(criterion=c)
+        for alpha in (1.0, 0.5, 0.0, math.nan):
+            with pytest.raises(DataError):
+                ScoreConfig(criterion=c, alpha=alpha)
     with pytest.raises(DataError):
         ScoreConfig(regret_method="simpson")
 
@@ -58,15 +67,19 @@ def test_config_validation():
 def test_config_refuses_arguments_of_the_wrong_type():
     # a DataError, not a TypeError from the comparison or the alias lookup,
     # and a bool is no hyperparameter
-    for field, bad in (("bdeu_alpha", "1"), ("bdeu_alpha", True),
-                       ("bdq_alpha", None), ("bdq_alpha", [0.5]),
-                       ("regret_method", ["exact"]), ("regret_method", 1)):
+    for c, field, bad in (("bdeu", "alpha", "1"), ("bdeu", "alpha", True),
+                          ("bdq", "alpha", [0.5]), ("bdq", "alpha", 1j),
+                          ("qnml", "regret_method", ["exact"]),
+                          ("qnml", "regret_method", 1)):
         with pytest.raises(DataError):
-            ScoreConfig(**{field: bad})
-    # ints and numpy floats are reals
-    assert ScoreConfig(bdeu_alpha=2).bdeu_alpha == 2
-    assert ScoreConfig(bdq_alpha=np.float64(0.25)).bdq_alpha == 0.25
-    assert ScoreConfig(bdq_alpha=np.float32(0.5)).bdq_alpha == 0.5
+            ScoreConfig(criterion=c, **{field: bad})
+    # ints and numpy floats are reals, kept as Python floats
+    for c, given, want in (("bdeu", 2, 2.0), ("bdq", np.float64(0.25), 0.25),
+                           ("bdq", np.float32(0.5), 0.5)):
+        alpha = ScoreConfig(criterion=c, alpha=given).alpha
+        assert type(alpha) is float and alpha == want
+    assert ScoreConfig(criterion="bdeu", alpha=2) == ScoreConfig(
+        criterion="bdeu", alpha=2.0)
 
 
 @given(st.integers(1, 10 ** 6))
@@ -102,7 +115,7 @@ def test_bdeu_hand_value():
 def test_bdeu_unobserved_parent_rows_contribute_nothing():
     # parent X2 never takes value 2: that block must add exactly 0
     data = dataset([[0, 0], [1, 0], [0, 1], [1, 1]], (2, 3))
-    cfg = ScoreConfig(criterion="bdeu", bdeu_alpha=1.5)
+    cfg = ScoreConfig(criterion="bdeu", alpha=1.5)
     got = local_score(data, 0, (1,), cfg)
     a = 1.5 / 3 / 2
     want = 0.0
@@ -210,7 +223,7 @@ def test_lgam_port_is_bit_identical_to_gammaln(monkeypatch):
         for alpha in (1.0, 0.5, 1e-3, 7.3):
             index = rng.integers(0, len(sizes), 7)
             counts = rng.integers(0, top + 1, (3, 7, 5))
-            bdeu = ScoreConfig(criterion="bdeu", bdeu_alpha=alpha)
+            bdeu = ScoreConfig(criterion="bdeu", alpha=alpha)
             # one call per family size, on the counts of its families
             for j, size in enumerate(sizes.tolist()):
                 a, mine = alpha / size, counts[:, index == j]
@@ -218,7 +231,7 @@ def test_lgam_port_is_bit_identical_to_gammaln(monkeypatch):
                 assert _same(got, gammaln(a + mine) - gammaln(a))
                 # each table is bound by the largest count its a has met
                 largest[a] = max(largest.get(a, 0), int(mine.max(initial=0)))
-            bdq = ScoreConfig(criterion="bdq", bdq_alpha=alpha)
+            bdq = ScoreConfig(criterion="bdq", alpha=alpha)
             got = criterion("bdq").cell(counts, 1, top, bdq)
             assert _same(got, gammaln(alpha + counts) - gammaln(alpha))
             largest[alpha] = max(largest.get(alpha, 0), int(counts.max()))
@@ -236,7 +249,7 @@ def test_lgam_port_is_bit_identical_to_gammaln(monkeypatch):
     with np.errstate(invalid="ignore"):
         tiny = criterion("bdq").cell(np.array([0, 2]), 2, 2,
                                      ScoreConfig(criterion="bdq",
-                                                 bdq_alpha=1e-310))
+                                                 alpha=1e-310))
     assert np.isnan(tiny[0]) and tiny[1] == -math.inf
 
 

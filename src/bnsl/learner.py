@@ -40,11 +40,12 @@ first block's variables and the columns that sets B read (see _index).
 The index work of a learn depends on its shape alone (n, the arities and
 the cap), not on the data: where each family's cells sit in a block, where
 its sums go in the table, which subsets the sink sweep meets. The block
-plans, the dearest of it, are built once per block shape with whole-array
-steps and kept in a plan cache of bounded bytes (_PLANS), so learns of one
-shape share them. The block shapes, the join's chunks and the sink sweep's
-chunks cost less than the work they index, and are built where they are
-used.
+plans, which hold positions only, are built with whole-array steps, and the
+last few are kept (_block_plan), so learns of one shape share them. The
+family orders, the bulk of the bytes, are built per block shape while its
+batches are counted, and the block shapes, the join's chunks and the sink
+sweep's chunks are built where they are used: each costs less than the
+work it indexes.
 
 The two search stages keep scores only. One search path serves every
 stack of tables: both sweeps take the tables as their last axis, and ties
@@ -56,7 +57,6 @@ from __future__ import annotations
 
 import math
 import time
-from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -151,22 +151,23 @@ def _score_tables(indexed, cfgs, shape: _LearnShape) -> np.ndarray:
     scores.Criterion: bic, fnml and qnml all sum N ln N) form a group. A
     batch holds its count tensor and the sums; cell terms exist only per
     gathered chunk. Every block shape, a set B counted alone (b = 0)
-    included, is summed by its cached plan (see _block_plan): one row per
-    family, its cells in that family's order. A parent set within the cap
-    reads its sum, in natural order, from the row of its last variable's
-    family, whose order that is (the empty set has a row of its own). The
-    plan groups the subsets by cell count k. Subsets of one arity sequence
-    are taken together from the count tensor, every group's cell terms are
+    included, is summed by its plan (see _block_plan): one row per family,
+    its cells in that family's order. A parent set within the cap reads its
+    sum, in natural order, from the row of its last variable's family,
+    whose order that is (the empty set has a row of its own). The plan
+    groups the subsets by cell count k. Subsets of one arity sequence are
+    taken together from the count tensor, every group's cell terms are
     evaluated on their counts with cell count k (the call local_score
-    makes), then each row's order is taken, in takes of at most
-    _GATHER_ENTRIES entries or one family's cells, and the sums of every
-    group are taken in the same numpy calls. A group's family sums land in
-    its first config's tables. Penalties are evaluated per config over
-    every dataset at once, and each config's join takes the family sums,
-    the parent sets' own term sums and the penalties of all children and
-    datasets at once, with each dataset's row count (see scores.Criterion).
-    Each entry equals local_score of its family under its config on its
-    dataset bit for bit.
+    makes), then each row's order is taken from the family orders of the
+    subsets' axis lengths (see _orders), built once per block shape, in
+    takes of at most _GATHER_ENTRIES entries or one family's cells, and the
+    sums of every group are taken in the same numpy calls. A group's family
+    sums land in its first config's tables. Penalties are evaluated per
+    config over every dataset at once, and each config's join takes the
+    family sums, the parent sets' own term sums and the penalties of all
+    children and datasets at once, with each dataset's row count (see
+    scores.Criterion). Each entry equals local_score of its family under
+    its config on its dataset bit for bit.
 
     A score that is not finite raises the DataError that its dataset and
     config raise alone; of several, the first dataset's, and of its configs
@@ -220,10 +221,11 @@ def _score_tables(indexed, cfgs, shape: _LearnShape) -> np.ndarray:
                             errors.setdefault((d, i), exc)
                             out[i, j, :, d] = np.nan
 
-    def count(b, bdims, bvars, bmasks, offsets, plan):
+    def count(b, bdims, bvars, bmasks, offsets, plan, orders):
         """Count and score a batch of blocks (b, B) whose sets B have the
-        arities bdims, given as B's variables ascending. Block i of dataset
-        d is tensor row i nd + d: its joint index is offset by that many
+        arities bdims, given as B's variables ascending, by their plan and
+        the family orders of its parts' axis lengths. Block i of dataset d
+        is tensor row i nd + d: its joint index is offset by that many
         times the cells of one block, so one bincount counts them all."""
         m = len(bvars)
         low = arities[:b]
@@ -251,8 +253,9 @@ def _score_tables(indexed, cfgs, shape: _LearnShape) -> np.ndarray:
             # family's cells: a few subsets with all their orders, or one
             # subset with a few of them
             fit = max(1, _GATHER_ENTRIES // (rows_all * k))
-            for rows, orders in parts:
-                t = len(orders)
+            for rows, dims in parts:
+                order = orders[dims]
+                t = len(order)
                 step, width = max(1, fit // t), min(fit, t)
                 for row in range(0, len(rows), step):
                     chunk = rows[row:row + step]
@@ -269,7 +272,7 @@ def _score_tables(indexed, cfgs, shape: _LearnShape) -> np.ndarray:
                     # a view: a column per (subset, order), orders last
                     out = sums[:, start:end].reshape(rows_all, len(chunk), t)
                     for o in range(0, t, width):
-                        np.take(part, orders[o:o + width], axis=1).reshape(
+                        np.take(part, order[o:o + width], axis=1).reshape(
                             rows_all, len(chunk), -1, k).sum(
                                 axis=-1, out=out[:, :, o:o + width])
                     start = end
@@ -306,9 +309,15 @@ def _score_tables(indexed, cfgs, shape: _LearnShape) -> np.ndarray:
         # a batch's tensor and its stacked index stay within the budget
         step = max(1, _BLOCK_CELLS // max(nd * size, at))
         plan = _block_plan(n, arities[:b], bdims, min(cap, b + len(bdims)))
+        # the shape's family orders, one table per axis lengths, freed once
+        # its batches are done
+        orders = {dims: _orders(dims)
+                  for _, parts, *_ in plan.groups for _, dims in parts}
         for start in range(0, len(bvars), step):
             batch = slice(start, start + step)
-            count(b, bdims, bvars[batch], bmasks[batch], offsets[batch], plan)
+            count(b, bdims, bvars[batch], bmasks[batch], offsets[batch], plan,
+                  orders)
+        del orders
 
     rank = np.searchsorted(child_arities, arities)
     admissible, chunks = _join_plan(n, cap)
@@ -422,62 +431,17 @@ _GATHER_ENTRIES = 1 << 17
 # table: all five criteria on one dataset at n <= 14 share one run, and
 # from n = 17 up each config is its own run
 _BATCH_BYTES = 1 << 23
-# every cached block plan together holds at most this many bytes: the 9
-# block plans of a binary n = 14 learn (about 16 MiB) fit; the 14 of a
-# binary n = 16 learn (about 56 MiB) do not, and evict each other
-_PLAN_BYTES = 1 << 25
-
-
-class _PlanCache:
-    """Block plans by key, least recently used first, kept while all of
-    them fit _PLAN_BYTES; a plan larger than that is built on every use. A
-    plan is a function of its key alone, so one cache serves every learn in
-    the process without changing any result."""
-
-    def __init__(self):
-        self.plans = OrderedDict()
-        self.nbytes = 0
-
-    def get(self, key, build):
-        if key in self.plans:
-            self.plans.move_to_end(key)
-            return self.plans[key][0]
-        plan = build()
-        # the bytes of every array a plan holds, or holds a view of, once
-        owners = {}
-        for part in _arrays(plan):
-            while part.base is not None:
-                part = part.base
-            owners[id(part)] = part.nbytes
-        size = sum(owners.values())
-        if size <= _PLAN_BYTES:
-            while self.nbytes + size > _PLAN_BYTES:
-                self.nbytes -= self.plans.popitem(last=False)[1][1]
-            self.plans[key] = plan, size
-            self.nbytes += size
-        return plan
-
-
-def _arrays(plan):
-    if isinstance(plan, np.ndarray):
-        yield plan
-    elif isinstance(plan, (tuple, list)):
-        for part in plan:
-            yield from _arrays(part)
-
-
-_PLANS = _PlanCache()
 
 
 def _build_block_shapes(arities: tuple[int, ...], cap: int):
     """The blocks of a learn over variables of these arities with at most
     cap parents: (shapes, cells), built on every learn, since they cost
-    less to build than the block plans they key (see _block_plan). Per
-    block shape (b, the arities of B), in increasing b, shapes holds (b,
-    B's arities, the cells of one block's tensor, then per block B's
-    variables ascending, B's mask and the table offsets that count adds to
-    its plan's positions). cells holds the cells of every variable subset,
-    indexed by its mask.
+    less than the counts they key, and _BLOCK_CELLS and _CAPPED_FILL may
+    change between learns. Per block shape (b, the arities of B), in
+    increasing b, shapes holds (b, B's arities, the cells of one block's
+    tensor, then per block B's variables ascending, B's mask and the table
+    offsets that count adds to its plan's positions). cells holds the cells
+    of every variable subset, indexed by its mask.
 
     The first block is (n, {}). A block is split on variable b - 1 into
     (b - 1, B) and (b - 1, B + {b - 1}) while its marginal tensor exceeds
@@ -564,17 +528,17 @@ class _BlockPlan(NamedTuple):
 
     Rows are grouped by cell count k; groups holds, per k, (k, the parts
     that give its rows' sums in column order, the first parent row's column
-    among all parent rows, and the parent sets' cells). A part is (the
-    subsets of one arity sequence, as their cells in natural order, one row
-    each, and the orders that make their rows: each child's family order,
-    the last child's being the natural order, or for the empty set its one
-    cell); there a position picks one cell of the first b axes with all of
-    B's cells after it. A family row's column is in fcols and goes to table
-    position fdest plus the block's offset fsel (see count). A subset
-    within the cap is also a parent set, whose sum is its last row's: that
-    column is in pcols and goes to parent set pdest plus B's mask. Each
-    gather of a group's rows reads the counts of families of k cells, the
-    cell count their cell terms take (see scores.Criterion).
+    among all parent rows, and the parent sets' cells). A part is (rows,
+    dims): the subsets of one arity sequence, as their cells in natural
+    order, one row each, and their axis lengths, A's then B's, whose
+    _orders make their family rows; there a position picks one cell of the
+    first b axes with all of B's cells after it. A family row's column is
+    in fcols and goes to table position fdest plus the block's offset fsel
+    (see count). A subset within the cap is also a parent set, whose sum is
+    its last row's: that column is in pcols and goes to parent set pdest
+    plus B's mask. Each gather of a group's rows reads the counts of
+    families of k cells, the cell count their cell terms take (see
+    scores.Criterion).
     """
 
     rows: int
@@ -586,23 +550,26 @@ class _BlockPlan(NamedTuple):
     pcols: np.ndarray
 
 
+@lru_cache(maxsize=16)
 def _block_plan(n: int, low: tuple[int, ...], bdims: tuple[int, ...],
                 cap: int) -> _BlockPlan:
-    """The cached plan of blocks (b, B) of n variables: low holds the
-    arities of the first b variables (none for a set B counted alone),
-    bdims those of B; families have at most cap + 1 variables, parent sets
-    at most cap."""
-    return _PLANS.get(("block", n, low, bdims, cap),
-                      lambda: _build_block_plan(n, low, bdims, cap))
+    """The plan of blocks (b, B) of n variables: low holds the arities of
+    the first b variables (none for a set B counted alone), bdims those of
+    B; families have at most cap + 1 variables, parent sets at most cap.
 
-
-def _build_block_plan(n, low, bdims, cap):
-    """A block's tensor has axis lengths r + 1 for the first b variables,
-    slot r holding the sum over the axis, then B's cells. A cell belongs to
-    the subset A of the axes where it sits below the sum slot, joined with
-    B, so every cell belongs to exactly one subset, and A's cells in
+    A block's tensor has axis lengths r + 1 for the first b variables, slot
+    r holding the sum over the axis, then B's cells. A cell belongs to the
+    subset A of the axes where it sits below the sum slot, joined with B,
+    so every cell belongs to exactly one subset, and A's cells in
     increasing position are its count array, axes ascending, each followed
     by B's cells.
+
+    A plan is a function of its key alone and holds positions only: at
+    most 2.1 MiB where measured (binary n = 16-20, 12 ternary variables,
+    arities 2-4 at n = 12). So the last 16 plans are kept, the 4 of the
+    harness shapes or the 14 of a binary n = 16 learn; a learn of more
+    block shapes rebuilds them. The family orders, most of the bytes, are
+    built per block shape where they are used (see _score_tables).
     """
     b, s = len(low), len(bdims)
     half = 1 << (n - 1)
@@ -651,8 +618,8 @@ def _build_block_plan(n, low, bdims, cap):
         # B's cells
         rows = base[:, None] + step[members] @ np.indices(
             dims, dtype=np.int64).reshape(len(dims), math.prod(dims))
-        orders = _orders(dims + bdims)
-        groups.setdefault(orders.shape[1], []).append((rows, orders, own[0]))
+        dims += bdims
+        groups.setdefault(math.prod(dims), []).append((rows, dims, own[0]))
     plan = []
     npar = 0
     for k in sorted(groups):
@@ -661,8 +628,8 @@ def _build_block_plan(n, low, bdims, cap):
                                  or [np.zeros((0, k // bcells), np.int64)])
         # a part within the cap reads its rows from the parent rows
         at = np.cumsum([len(rows) * own for rows, _, own in parts])
-        parts = [(parents[end - len(rows):end] if own else rows, orders)
-                 for (rows, orders, own), end in zip(parts, at)]
+        parts = [(parents[end - len(rows):end] if own else rows, dims)
+                 for (rows, dims, own), end in zip(parts, at)]
         plan.append((k, parts, npar, parents))
         npar += len(parents)
     return _BlockPlan(rows=int(span.sum()), groups=tuple(plan), fdest=fdest,
@@ -673,7 +640,10 @@ def _build_block_plan(n, low, bdims, cap):
 def _orders(dims: tuple[int, ...]) -> np.ndarray:
     """Row i lists the cells of a count array with axis lengths dims in the
     family order of its child i, axis i moved last; the last row is the
-    natural order. The empty set has no family, and one row: its cell."""
+    natural order. The empty set has no family, and one row: its cell.
+    Built per block shape, for the parts of its plan, and dropped once its
+    batches are counted: t cells(T) int64 entries for t variables, 1.5 GiB
+    for twelve quaternary ones."""
     t = len(dims)
     cube = np.arange(math.prod(dims)).reshape(dims)
     orders = np.zeros((max(t, 1), cube.size), dtype=np.int64)

@@ -363,8 +363,9 @@ def test_acceptance_11_cli_reruns_are_byte_identical(tmp_path):
 
 def test_acceptance_12_sixteen_variable_learn_time_and_table_memory():
     # a binary chain with 20 % flips, N = 1000, qNML. Measured on a 2-core
-    # x86-64 VM: learn_exact 1.4-2.0 s, table tracemalloc peak 9.3 MiB;
-    # both bounds leave at least 5x of room
+    # x86-64 VM: learn_exact 1.0-2.1 s, table tracemalloc peak 24.6 MiB,
+    # the family orders of one block shape included; the bounds leave about
+    # 5x and 2.6x of room
     n, n_rows = 16, 1000
     rng = np.random.default_rng(16)
     rows = np.zeros((n_rows, n), dtype=np.int64)

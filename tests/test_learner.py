@@ -184,11 +184,9 @@ def test_subset_table_equals_per_family_scores(case, cached, block_cells):
         return  # no BIC score exists; test_table_errors_match covers it
     with pytest.MonkeyPatch.context() as mp:
         if not cached:
-            # an empty cache that keeps no plan, so each is built where it
-            # is used; every take holds one family's cells, and the join
-            # runs one child at a time
-            mp.setattr(learner, "_PLANS", learner._PlanCache())
-            mp.setattr(learner, "_PLAN_BYTES", 0)
+            # no kept plan, so each is built anew; every take holds one
+            # family's cells, and the join runs one child at a time
+            learner._block_plan.cache_clear()
             mp.setattr(learner, "_GATHER_ENTRIES", 0)
         # a budget of a few cells splits every block, down to blocks of one
         # subset; 12 and 64 leave small blocks joined with later variables,
@@ -263,8 +261,8 @@ def test_cell_term_gathers_hold_one_family_at_most():
         cfg = ScoreConfig(criterion=crit)
         for cap in (None, 2):
             seen.clear()
+            learner._block_plan.cache_clear()
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(learner, "_PLANS", learner._PlanCache())
                 mp.setattr(learner, "_GATHER_ENTRIES", 0)
                 mp.setattr(learner, "_BLOCK_CELLS", 64)
                 mp.setattr(np, "take", recorded)
@@ -330,25 +328,52 @@ def test_plans_are_kept_per_shape():
                 assert learn_exact(data, cfg, cap).network == network
 
 
-def test_only_block_plans_are_kept():
+def test_block_plans_hold_positions_only():
+    # every block plan of a binary n = 16 learn: cell and table positions,
+    # about 3.5 MiB together. The family orders, some 48 MiB for this
+    # shape, are not part of a plan
+    arities = (2,) * 16
+    shape = learner._learn_shape(arities, None)
+    plans = [learner._block_plan(16, arities[:b], bdims,
+                                 min(shape.cap, b + len(bdims)))
+             for b, bdims, *_ in shape.blocks]
+    # the bytes of every array a plan holds, or holds a view of, once
+    owners = {}
+
+    def own(part):
+        if isinstance(part, np.ndarray):
+            while part.base is not None:
+                part = part.base
+            owners[id(part)] = part.nbytes
+        elif isinstance(part, (tuple, list)):
+            for item in part:
+                own(item)
+
+    own(plans)
+    assert len(plans) == 14
+    assert sum(owners.values()) <= 4 << 20, sum(owners.values()) / 2 ** 20
     # the harness shapes: samples of every bundled network and the bundled
-    # web8 CSV, under every criterion, uncapped and capped. The sink-sweep
-    # and join plans and the block shapes are built where they are used
+    # web8 CSV, under every criterion, uncapped and capped. Their block
+    # plans are kept, each built once; the block shapes, which tests
+    # shrink through the budgets, and the sink-sweep and join plans are
+    # built where they are used
     from bnsl.bench import bundled_path
     from bnsl.dataset import load_dataset
     from bnsl.model import load_network, sample
 
     cfgs = [ScoreConfig(criterion=c) for c in CRITERIA]
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(learner, "_PLANS", learner._PlanCache())
-        for name in ("chain5", "collider5", "mixed6", "web8"):
-            net = load_network(bundled_path(f"{name}.json"))
-            learn_datasets([sample(net, 100, seed=s) for s in range(3)], cfgs)
-        web8 = load_dataset(bundled_path("web8_n500.csv"))
-        for cap in (1, 2):
-            learn_criteria(web8, cfgs, cap)
-        keys = list(learner._PLANS.plans)
-    assert keys and all(key[0] == "block" for key in keys), keys
+    learner._block_plan.cache_clear()
+    for name in ("chain5", "collider5", "mixed6", "web8"):
+        net = load_network(bundled_path(f"{name}.json"))
+        learn_datasets([sample(net, 100, seed=s) for s in range(3)], cfgs)
+    web8 = load_dataset(bundled_path("web8_n500.csv"))
+    for cap in (1, 2):
+        learn_criteria(web8, cfgs, cap)
+    kept = learner._block_plan.cache_info()
+    assert 0 < kept.misses == kept.currsize < kept.maxsize, kept
+    for built in (learner._learn_shape, learner._build_block_shapes,
+                  learner._join_plan, learner._sweep_plan):
+        assert not hasattr(built, "cache_info"), built
 
 
 def _chain_rows(rng, n, n_rows):
@@ -396,19 +421,6 @@ def test_total_score_sums_the_variables_in_order():
     totals = [(res.total_score, res.per_variable) for res in results]
     assert all(total.hex() == float(sum(per)).hex() for total, per in totals)
     assert any(total != float(np.sum(per)) for total, per in totals)
-
-
-def test_kept_plans_stay_within_their_budget():
-    rng = np.random.default_rng(9)
-    cfg = ScoreConfig(criterion="qnml")
-    for n in range(1, 15):
-        rows = rng.integers(0, 2, (200, n))
-        learn_exact(Dataset(tuple(f"V{i}" for i in range(n)), (2,) * n,
-                            rows), cfg)
-        # the cache's own count, which must be the sum of its plans' sizes
-        kept = learner._PLANS
-        assert kept.nbytes == sum(size for _, size in kept.plans.values())
-        assert kept.nbytes <= learner._PLAN_BYTES
 
 
 def test_table_errors_match_per_family_errors():
@@ -683,11 +695,10 @@ def test_batch_raises_the_first_failing_configs_error():
     for mode in ("batch", "by child", "runs"):
         with pytest.MonkeyPatch.context() as mp:
             if mode == "by child":
-                # the join runs child by child, with no plan kept, so a
+                # the join runs child by child, with plans built anew, so a
                 # later config meets its first failure (at A) before the
                 # first config meets its own (at B)
-                mp.setattr(learner, "_PLANS", learner._PlanCache())
-                mp.setattr(learner, "_PLAN_BYTES", 0)
+                learner._block_plan.cache_clear()
                 mp.setattr(learner, "_GATHER_ENTRIES", 0)
             if mode == "runs":
                 # every config in a run of its own
@@ -739,8 +750,7 @@ def test_dataset_batch_raises_the_first_failing_datasets_error():
                         # one dataset a run
                         mp.setattr(learner, "_BLOCK_CELLS", 1)
                     if mode == "by child":
-                        mp.setattr(learner, "_PLANS", learner._PlanCache())
-                        mp.setattr(learner, "_PLAN_BYTES", 0)
+                        learner._block_plan.cache_clear()
                         mp.setattr(learner, "_GATHER_ENTRIES", 0)
                     if want is None:
                         learn_datasets(datasets, cfgs, max_parents=1)

@@ -328,7 +328,7 @@ def test_plans_are_kept_per_shape():
                 assert learn_exact(data, cfg, cap).network == network
 
 
-def test_block_plans_hold_positions_only():
+def test_kept_plans_stay_within_their_budget():
     # every block plan of a binary n = 16 learn: cell and table positions,
     # about 3.5 MiB together. The family orders, some 48 MiB for this
     # shape, are not part of a plan
@@ -352,6 +352,9 @@ def test_block_plans_hold_positions_only():
     own(plans)
     assert len(plans) == 14
     assert sum(owners.values()) <= 4 << 20, sum(owners.values()) / 2 ** 20
+
+
+def test_only_block_plans_are_kept():
     # the harness shapes: samples of every bundled network and the bundled
     # web8 CSV, under every criterion, uncapped and capped. Their block
     # plans are kept, each built once; the block shapes, which tests

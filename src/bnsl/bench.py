@@ -282,6 +282,8 @@ def _predict_tables(spec: ExperimentSpec) -> list[list[str]]:
     """
     if not spec.datasets:
         raise DataError(f"{spec.kind} needs at least one dataset file")
+    if not spec.train_fractions:
+        raise DataError(f"{spec.kind} needs at least one train fraction")
     rows = []
     cfgs = tuple(ScoreConfig(criterion=crit) for crit in spec.criteria)
     rules = [_rule(crit) for crit in spec.criteria]

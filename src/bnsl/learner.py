@@ -33,9 +33,10 @@ each result equals its own learn bit for bit. The datasets are learned in
 runs whose tables fit _BATCH_BYTES, and whose rows or block tensors, n
 times over, fit _BLOCK_CELLS, or one dataset a run; beyond that a
 dataset's configs are learned in runs, so large tables do not multiply the
-peak memory by the number of configs. A run holds count indexes, not
-rows: each dataset is reduced as it is drawn to its prefix index over the
-first block's variables and the columns that sets B read (see _index).
+peak memory by the number of configs. A run holds compact codes, not the
+datasets' int64 rows: each dataset is reduced as it is drawn to a copy of
+its category codes in the least unsigned type that holds them, whatever
+the learn's block shapes (see _index).
 
 The index work of a learn depends on its shape alone (n, the arities and
 the cap), not on the data: where each family's cells sit in a block, where
@@ -106,7 +107,7 @@ def compute_local_scores(data: Dataset, cfg: ScoreConfig,
     cfgs, max_parents = _checked((cfg,), max_parents)
     shape = _learn_shape(data.arities, max_parents)
     return LocalScoreTable(
-        data.n_vars, _score_tables((_index(data, shape),), cfgs, shape)[0, 0],
+        data.n_vars, _score_tables((_index(data),), cfgs, shape)[0, 0],
         max_parents)
 
 
@@ -140,12 +141,15 @@ def _score_tables(indexed, cfgs, shape: _LearnShape) -> np.ndarray:
     scores.Criterion). The subsets T with |T| <= cap + 1 are counted in the
     blocks of _build_block_shapes: every A within the first b variables,
     joined with one set B of later ones. One bincount of the block's joint
-    index (the dataset and the first-b prefix index, times cells(B), plus
-    B's index) gives the joint counts of every dataset; appending to each of
-    the b axes one slot that holds the sum over that axis gives every A + B
-    count array at once, by exact integer sums. Blocks of one shape are
-    counted together, as many in one tensor as fit _BLOCK_CELLS; a block's
-    datasets are the consecutive rows of the tensor, as the blocks are.
+    index (the run's prefix index, over the dataset and then the first b
+    variables, times cells(B), plus B's index) gives the joint counts of
+    every dataset; appending to each of the b axes one slot that holds the
+    sum over that axis gives every A + B count array at once, by exact
+    integer sums. The run's codes are concatenated once, and its one prefix
+    index is extended, in place, as the block shapes' b grows. Blocks of one
+    shape are counted together, as many in one tensor as fit _BLOCK_CELLS;
+    a block's datasets are the consecutive rows of the tensor, as the
+    blocks are.
 
     Configs whose cell terms agree (one cell function and one alpha, see
     scores.Criterion: bic, fnml and qnml all sum N ln N) form a group. A
@@ -185,7 +189,7 @@ def _score_tables(indexed, cfgs, shape: _LearnShape) -> np.ndarray:
     groups = list(shared.values())
     cell_terms = [scorers[group[0]][:2] for group in groups]
     nd = len(indexed)
-    sizes = [record.n_rows for record in indexed]
+    sizes = [record.codes.shape[1] for record in indexed]
     # a number of rows that no count exceeds
     top = max(sizes)
     # per dataset, against the (blocks, datasets, parent sets) penalties
@@ -234,9 +238,10 @@ def _score_tables(indexed, cfgs, shape: _LearnShape) -> np.ndarray:
         # dataset
         joint = prefix
         if bdims:
-            index = columns[bvars[:, 0] - lowest]
+            # int64 before any product: the codes' own type would wrap
+            index = codes[bvars[:, 0]].astype(np.int64)
             for j in range(1, len(bdims)):
-                index = index * bdims[j] + columns[bvars[:, j] - lowest]
+                index = index * bdims[j] + codes[bvars[:, j]]
             size = math.prod(low) * bcells
             index += np.arange(0, m * nd * size, nd * size)[:, None]
             index += joint * bcells
@@ -288,26 +293,20 @@ def _score_tables(indexed, cfgs, shape: _LearnShape) -> np.ndarray:
         parent[:, :, pdest] = sums[..., plan.pcols].swapaxes(1, 2)
         penalty[:, :, :, pdest] = pens.transpose(0, 3, 1, 2, 4)
 
-    # the run's prefix index, its leading digit the dataset, and the columns
-    # from lowest up, which sets B draw on: each dataset's rows one after
-    # another, in one array each
-    lowest, reach = shape.lowest, shape.reach
-    prefix = np.empty(sum(sizes), dtype=np.int64)
-    at = 0
-    for d, record in enumerate(indexed):
-        np.add(record.prefix, d * math.prod(arities[:reach]),
-               out=prefix[at:at + record.n_rows])
-        at += record.n_rows
-    columns = np.concatenate([record.columns for record in indexed], axis=1)
+    # the run's codes, each dataset's rows one after another, and its prefix
+    # index, so far over no variable: each row's dataset
+    codes = np.concatenate([record.codes for record in indexed], axis=1)
+    prefix = np.repeat(np.arange(nd, dtype=np.int64), sizes)
+    reach = 0
     for b, bdims, size, bvars, bmasks, offsets in shapes:
         # the shapes come in increasing b, so each extends the prefix, in
         # place, by the variables it adds
         for v in range(reach, b):
             prefix *= arities[v]
-            prefix += columns[v - lowest]
+            prefix += codes[v]
         reach = b
         # a batch's tensor and its stacked index stay within the budget
-        step = max(1, _BLOCK_CELLS // max(nd * size, at))
+        step = max(1, _BLOCK_CELLS // max(nd * size, len(prefix)))
         plan = _block_plan(n, arities[:b], bdims, min(cap, b + len(bdims)))
         # the shape's family orders, one table per axis lengths, freed once
         # its batches are done
@@ -325,9 +324,7 @@ def _score_tables(indexed, cfgs, shape: _LearnShape) -> np.ndarray:
         rows = slice(c, c + len(sets))
         q = cells[sets]
         for g, group in enumerate(groups):
-            sums = tables[group[0], :, rows]
-            if admissible is not None:
-                sums = sums[..., admissible]
+            sums = tables[group[0]][:, rows, admissible]
             term_sum = parent[g][:, sets]
             # the first config last, since its tables hold the sums
             for i in reversed(group):
@@ -341,10 +338,7 @@ def _score_tables(indexed, cfgs, shape: _LearnShape) -> np.ndarray:
                         v, j = np.argwhere(bad[d])[0]
                         errors.setdefault((d, i), not_finite(
                             cfg, indexed[d].names[c + v], row[d, v, j]))
-                if admissible is None:
-                    tables[i, :, rows] = row
-                else:
-                    tables[i][:, rows, admissible] = row
+                tables[i][:, rows, admissible] = row
     if errors:
         raise errors[min(errors)]
     tables.flags.writeable = False
@@ -353,7 +347,8 @@ def _score_tables(indexed, cfgs, shape: _LearnShape) -> np.ndarray:
 
 class _LearnShape(NamedTuple):
     """The index work of a learn that its arities and cap fix (see
-    _learn_shape)."""
+    _learn_shape). A dataset's record does not depend on it (see _index),
+    so one record serves a learn of any cap."""
 
     cap: int
     # the block shapes, and the cells of every subset (see
@@ -361,19 +356,13 @@ class _LearnShape(NamedTuple):
     blocks: tuple
     cells: np.ndarray
     arities: tuple
-    # the first block shape's b, the variables a prefix index covers
-    reach: int
-    # the least b of a block shape with a set B, or n: sets B draw on the
-    # columns from lowest up
-    lowest: int
 
 
 class _Indexed(NamedTuple):
-    """What _score_tables reads of a dataset (see _index)."""
+    """What _score_tables reads of a dataset (see _index): its category
+    codes, one row per variable, and its names."""
 
-    prefix: np.ndarray
-    columns: np.ndarray
-    n_rows: int
+    codes: np.ndarray
     names: tuple
 
 
@@ -392,25 +381,18 @@ def _learn_shape(arities: tuple[int, ...], max_parents: int | None
         raise ResourceLimitError(
             f"a family with {largest} cells exceeds the dense-table guard of "
             f"{MAX_TABLE_CELLS}")
-    blocks, cells = _build_block_shapes(arities, cap)
-    # the block shapes come in increasing b, so the first one's b is
-    # lowest, or it is the only shape
-    lowest = min([b for b, bdims, *_ in blocks if bdims], default=n)
-    return _LearnShape(cap, blocks, cells, tuple(arities), blocks[0][0],
-                       lowest)
+    return _LearnShape(cap, *_build_block_shapes(arities, cap),
+                       tuple(arities))
 
 
-def _index(data: Dataset, shape: _LearnShape) -> _Indexed:
-    """What _score_tables reads of a dataset of the shape's arities: each
-    row's mixed-radix index over the first reach variables, the columns
-    from lowest up as rows of one array, the row count and the names. The
-    arrays are copies, so the record holds none of the dataset's rows."""
-    arities, reach = shape.arities, shape.reach
-    radix = np.array([math.prod(arities[v + 1:reach]) for v in range(reach)],
-                     dtype=np.int64)
-    return _Indexed(data.rows[:, :reach] @ radix,
-                    data.rows[:, shape.lowest:].T.copy(), data.n_rows,
-                    data.names)
+def _index(data: Dataset) -> _Indexed:
+    """What _score_tables reads of a dataset, whatever the learn's shape:
+    its codes as one C-contiguous (n, N) array of the least unsigned type
+    that holds its largest code (1 byte a cell up to arity 256), and its
+    names. The codes are a copy, so the record holds none of the dataset's
+    rows."""
+    dtype = np.min_scalar_type(max(data.arities) - 1)
+    return _Indexed(data.rows.T.astype(dtype, order="C"), data.names)
 
 
 # a block's marginal tensor holds at most this many cells, and a run of
@@ -654,13 +636,13 @@ def _orders(dims: tuple[int, ...]) -> np.ndarray:
 
 
 def _join_plan(n: int, cap: int):
-    """The admissible parent-set columns (None: all of them), and a
-    generator of chunks of children, each (first child, each child's parent
-    sets as masks over all variables). A chunk holds at most
-    _GATHER_ENTRIES entries, or one child's. Built on every join, whose
-    gathers cost more than the plan."""
+    """The admissible parent-set columns (a slice of all of them, when
+    uncapped), and a generator of chunks of children, each (first child,
+    each child's parent sets as masks over all variables). A chunk holds at
+    most _GATHER_ENTRIES entries, or one child's. Built on every join,
+    whose gathers cost more than the plan."""
     half = 1 << (n - 1)
-    admissible = None
+    admissible = slice(None)
     columns = np.arange(half)
     if cap < n - 1:
         admissible = columns = np.flatnonzero(_popcounts(n)[:half] <= cap)
@@ -820,11 +802,11 @@ def learn_datasets(datasets, cfgs, max_parents: int | None = None
     large tables.
 
     datasets may be any iterable. It is consumed one run at a time, and
-    each dataset is reduced to the count indexes its learn reads (see
-    _index) as it is drawn, and then dropped: from a generator, a learn
-    holds one run's count indexes and the one dataset it is indexing, at
-    most. A dataset whose arities differ from the first's is a DataError,
-    raised before its run is learned, as is an empty iterable. Otherwise
+    each dataset is reduced to a compact copy of its codes (see _index) as
+    it is drawn, and then dropped: from a generator, a learn holds one
+    run's codes and the one dataset it is indexing, at most. A dataset
+    whose arities differ from the first's is a DataError, raised before
+    its run is learned, as is an empty iterable. Otherwise
     the error raised is the one learning each dataset alone, in order,
     raises first: the first failing dataset's, and of its configs the
     first failing one's. Every result's elapsed is the call's wall time
@@ -857,7 +839,7 @@ def learn_datasets(datasets, cfgs, max_parents: int | None = None
                             f"{shape.arities}")
         # its rows, and the sums' gathers, up to n per tensor cell
         cost = n * max(data.n_rows, tensor)
-        record = _index(data, shape)
+        record = _index(data)
         # the run holds the record alone, so the dataset is freed before
         # the next one is drawn
         del data

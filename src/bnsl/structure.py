@@ -56,6 +56,8 @@ class DagStructure:
             names = tuple(self.names)
             if len(names) != self.n:
                 raise DataError("names length must equal the node count")
+            if len(set(names)) != self.n:
+                raise DataError("variable names must be unique")
             object.__setattr__(self, "names", names)
         topological_order(self)  # raises on cycles
 

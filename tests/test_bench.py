@@ -206,6 +206,17 @@ def test_prediction_requires_datasets():
         run_predict_rank(ExperimentSpec(kind="predict-rank"))
 
 
+def test_prediction_names_its_empty_input():
+    for kind, run in (("predict-rank", run_predict_rank),
+                      ("param-count", run_param_count)):
+        with pytest.raises(DataError,
+                           match=f"{kind} needs at least one dataset file"):
+            run(ExperimentSpec(kind=kind))
+        with pytest.raises(DataError,
+                           match=f"{kind} needs at least one train fraction"):
+            run(small_predict_spec(kind, fractions=()))
+
+
 def test_degenerate_train_split_is_an_error(tmp_path):
     path = tmp_path / "tiny.csv"
     write_dataset(Dataset(("A", "B"), (2, 2),

@@ -168,6 +168,19 @@ def _batched_case():
             ScoreConfig(criterion="bdeu"), None)
 
 
+def _binary_chain_case():
+    """A binary chain of ten variables, each a noisy copy of the one before:
+    split into blocks of a few cells, the full set is a set B counted alone
+    of 1024 cells, more than its 1-byte codes hold."""
+    rng = np.random.default_rng(1)
+    rows = np.empty((150, 10), dtype=np.int64)
+    rows[:, 0] = rng.integers(0, 2, 150)
+    for v in range(1, 10):
+        rows[:, v] = rows[:, v - 1] ^ (rng.random(150) < 0.2)
+    return (Dataset(tuple(f"X{v}" for v in range(10)), (2,) * 10, rows),
+            ScoreConfig(criterion="qnml"), None)
+
+
 def _same_bits(a, b):
     """Equal bit patterns: -inf where b has it, and 0.0 apart from -0.0."""
     return a.shape == b.shape and np.array_equal(a.view(np.int64),
@@ -177,6 +190,7 @@ def _same_bits(a, b):
 @given(scoring_cases(), st.booleans(),
        st.sampled_from([2, 12, 64, learner._BLOCK_CELLS]))
 @example(_batched_case(), True, learner._BLOCK_CELLS)
+@example(_binary_chain_case(), True, 2)
 @settings(max_examples=200)
 def test_subset_table_equals_per_family_scores(case, cached, block_cells):
     data, cfg, max_parents = case
@@ -562,8 +576,30 @@ def _score_tables(datasets, cfgs, max_parents):
     """learner._score_tables of datasets of one arity tuple, each indexed
     as learn_datasets indexes it."""
     shape = learner._learn_shape(datasets[0].arities, max_parents)
-    return learner._score_tables([learner._index(data, shape)
+    return learner._score_tables([learner._index(data)
                                   for data in datasets], cfgs, shape)
+
+
+def test_a_record_holds_compact_codes_whatever_the_shape():
+    # a record is the dataset's codes alone, one byte a cell up to arity
+    # 256 and two from there; one record serves the shape of every cap
+    rng = np.random.default_rng(4)
+    for arities, dtype in (((2, 3, 4, 2), np.uint8),
+                           ((3, 300, 2), np.uint16)):
+        n, n_rows = len(arities), 400
+        data = Dataset(tuple(f"V{i}" for i in range(n)), arities,
+                       rng.integers(0, arities, (n_rows, n)))
+        record = learner._index(data)
+        codes = record.codes
+        assert codes.shape == (n, n_rows) and codes.flags.c_contiguous
+        assert codes.dtype == dtype
+        assert codes.nbytes == n * n_rows * np.dtype(dtype).itemsize
+        assert np.array_equal(codes, data.rows.T)
+        cfg = ScoreConfig(criterion="bdeu")
+        for max_parents in (None, 1, 2):
+            shape = learner._learn_shape(arities, max_parents)
+            table = learner._score_tables((record,), (cfg,), shape)[0, 0]
+            assert _same_bits(table, _family_table(data, cfg, max_parents))
 
 
 def _marginal_calls(mp):

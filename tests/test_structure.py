@@ -34,6 +34,8 @@ def test_structure_validation():
         DagStructure(2, ((), (0, 0)))  # duplicate
     with pytest.raises(DataError):
         DagStructure(2, ((), (5,)))  # out of range
+    with pytest.raises(DataError, match="names must be unique"):
+        DagStructure(2, ((), (0,)), ("A", "A"))
 
 
 def test_topological_order_prefers_small_indices():
